@@ -47,17 +47,18 @@ They also accept the sweep-execution flags ``--jobs N`` (fan simulation
 cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
 (content-addressed run cache: warm re-runs skip simulation entirely),
 ``--no-cache`` (ignore ``--cache-dir`` for one invocation),
-``--requests N`` (per-core request-budget override for smoke runs),
-``--backend {scalar,batched,auto}`` (engine backend selection; batched
-runs compatible sweep cells through one columnar step loop) and
+``--requests N`` (per-core request-budget override for smoke runs) and
 ``--progress`` (live TTY progress line), plus the resilience flags
-``--retries N`` (per-cell retry budget), ``--timeout S`` (per-attempt
-wall-clock limit) and ``--resume`` (continue an interrupted sweep from
-the checkpoint journal next to the run cache).  Results are
-byte-identical across serial, parallel, cached and resumed executions,
-and telemetry composes with all of them: cells capture per-cell
-snapshots that are merged deterministically in cell order, so the
-merged metrics/journal outputs are byte-identical too (see
+``--retries N`` (per-cell retry budget) and ``--timeout S``
+(per-attempt wall-clock limit).  An interrupted sweep is relaunched by
+re-running it with the same ``--cache-dir``: only the cells that are
+not cached yet are computed.  The deprecated ``--backend`` and
+``--resume`` flags warn on stderr and change nothing (removed in 3.0).
+Out-of-range flag values print one ``error: ...`` line and exit 2.
+Results are byte-identical across serial, parallel and cached
+executions, and telemetry composes with all of them: cells capture
+per-cell snapshots that are merged deterministically in cell order, so
+the merged metrics/journal outputs are byte-identical too (see
 ``docs/observability.md``).
 """
 
@@ -73,7 +74,7 @@ from repro.core.storage import compare_storage
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import CellPolicy, SweepCheckpoint, SweepFailure
+from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
@@ -98,14 +99,12 @@ environment variables (command-line flags always win):
                        e.g. "crash:*:1;hang:ab@2;corrupt:cd" — see
                        docs/parallel.md for the grammar
 
-engine backends (--backend, results byte-identical across all three):
-  scalar               the reference event loop (default)
-  batched              columnar batch engine: compatible cells of a
-                       sweep advance through one numpy step loop —
-                       ~6x whole-sweep throughput on policy-free grids
-  auto                 batched only where a sweep has >= 4 compatible
-                       policy-free cells (shared baselines); everything
-                       else stays scalar
+deprecated in 2.x, removed in 3.0 (each warns on stderr, then runs as
+if it were absent):
+  --backend B          B = scalar, batched or auto: all engine backends
+                       now run the scalar loop
+  --resume             rerun with the same --cache-dir instead: cached
+                       cells are not recomputed
 
 sweep service workflows (docs/service.md):
   dream-repro serve --cache-dir .svc-cache --access-log access.jsonl
@@ -199,13 +198,44 @@ def _resolve_mode(args: argparse.Namespace) -> str:
     return "full" if os.environ.get("REPRO_FULL", "") == "1" else "quick"
 
 
-def _env_jobs() -> int | None:
-    """Worker count from ``REPRO_JOBS``, or ``None`` when unset/bad."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        return int(raw) if raw else None
-    except ValueError:
-        return None
+def _usage_error(message: str):
+    """Print one ``error: ...`` line and exit 2 (bad flag or input)."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _jobs_setting(args: argparse.Namespace) -> int | None:
+    """``--jobs``, else ``REPRO_JOBS``, else ``None``; must be >= 0."""
+    jobs = args.jobs
+    if jobs is None:
+        raw = os.environ.get("REPRO_JOBS", "")
+        if not raw:
+            return None
+        try:
+            jobs = int(raw)
+        except ValueError:
+            _usage_error(f"REPRO_JOBS must be an integer, got {raw!r}")
+    if jobs < 0:
+        _usage_error(f"--jobs must be >= 0 (0 = all cores), got {jobs}")
+    return jobs
+
+
+def _check_run_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range run flags; warn about deprecated ones."""
+    if args.requests is not None and args.requests <= 0:
+        _usage_error(f"--requests must be positive, got {args.requests}")
+    if args.retries is not None and args.retries < 0:
+        _usage_error(f"--retries must be >= 0, got {args.retries}")
+    if args.timeout is not None and not args.timeout > 0:
+        _usage_error(f"--timeout must be positive, got {args.timeout:g}")
+    if args.backend != "scalar":
+        print(f"warning: --backend {args.backend} is deprecated and "
+              f"runs the scalar engine; it will be removed in 3.0",
+              file=sys.stderr)
+    if getattr(args, "resume", False):
+        print("warning: --resume is deprecated; rerunning with the same "
+              "--cache-dir already skips cached cells; it will be "
+              "removed in 3.0", file=sys.stderr)
 
 
 def _build_executor(args: argparse.Namespace,
@@ -219,7 +249,7 @@ def _build_executor(args: argparse.Namespace,
     cell order — ``telemetry`` is accepted only for interface symmetry.
     """
     del telemetry  # telemetry no longer constrains execution
-    jobs_flag = args.jobs if args.jobs is not None else _env_jobs()
+    jobs_flag = _jobs_setting(args)
     jobs = jobs_flag if jobs_flag is not None else 1
     if jobs == 0:
         jobs = os.cpu_count() or 1
@@ -237,24 +267,17 @@ def _build_executor(args: argparse.Namespace,
         timeout_s=args.timeout,
         retries=args.retries if args.retries is not None
         else defaults.retries)
-    backend = getattr(args, "backend", "scalar")
     wants_executor = (args.retries is not None or
-                      args.timeout is not None or args.resume or
-                      args.progress or backend != "scalar")
+                      args.timeout is not None or args.progress)
     if jobs == 1 and cache is None and jobs_flag is None and \
             not wants_executor:
         return None
-    checkpoint = None
-    if cache is not None:
-        checkpoint = SweepCheckpoint(cache.checkpoint_path(),
-                                     resume=args.resume)
     progress = None
     if args.progress:
         from repro.obs.progress import SweepProgress
         progress = SweepProgress()
     return SweepExecutor(jobs=jobs, cache=cache, policy=policy,
-                         checkpoint=checkpoint, progress=progress,
-                         backend=backend)
+                         progress=progress)
 
 
 def _emit_executor(executor: SweepExecutor | None) -> None:
@@ -268,12 +291,11 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
                       requests_per_core=args.requests,
                       seed=args.seed,
                       retries=args.retries,
-                      timeout_s=args.timeout,
-                      resume=args.resume,
-                      backend=getattr(args, "backend", "scalar"))
+                      timeout_s=args.timeout)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_run_flags(args)
     names = args.experiments or registry.names()
     telemetry = _build_telemetry(args)
     executor = _build_executor(args, telemetry)
@@ -312,13 +334,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if failed:
         print(f"[repro.cli] {len(failed)} experiment(s) had failed "
               f"cells: {', '.join(failed)} — completed cells are cached; "
-              f"rerun (with --resume) to retry only the failures",
+              f"rerun with the same --cache-dir to retry only the "
+              f"failures",
               file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _check_run_flags(args)
     names = args.experiments or registry.names()
     telemetry = _build_telemetry(args)
     executor = _build_executor(args, telemetry)
@@ -360,7 +384,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if failed:
         print(f"[repro.cli] {len(failed)} experiment(s) had failed "
               f"cells: {', '.join(failed)} — completed cells are cached; "
-              f"rerun (with --resume) to retry only the failures",
+              f"rerun with the same --cache-dir to retry only the "
+              f"failures",
               file=sys.stderr)
         return 1
     return 0
@@ -565,9 +590,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobScheduler
     from repro.service.server import AccessLog, SweepService
 
-    jobs_flag = args.jobs if args.jobs is not None else _env_jobs()
-    jobs = jobs_flag if jobs_flag is not None else 1
-    if jobs == 0:
+    jobs = _jobs_setting(args)
+    if jobs is None:
+        jobs = 1
+    elif jobs == 0:
         jobs = os.cpu_count() or 1
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
     cache = RunCache(cache_dir) if cache_dir else None
@@ -629,12 +655,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError, SweepClient
 
+    _check_run_flags(args)
     options = RunOptions(mode=_resolve_mode(args),
                          requests_per_core=args.requests,
                          seed=args.seed,
                          retries=args.retries,
-                         timeout_s=args.timeout,
-                         backend=args.backend)
+                         timeout_s=args.timeout)
     client = SweepClient(_service_url(args))
     failed_error = None
     try:
@@ -751,12 +777,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend",
                         choices=("scalar", "batched", "auto"),
                         default="scalar",
-                        help="engine backend: scalar (reference event "
-                             "loop), batched (columnar batch engine "
-                             "for compatible cells), or auto (batched "
-                             "only for groups of >= 4 policy-free "
-                             "compatible cells); results are "
-                             "byte-identical either way")
+                        help="deprecated, removed in 3.0: every value "
+                             "runs the scalar engine")
     parser.add_argument("--retries", type=int, metavar="N",
                         help="per-cell retry budget before a cell is "
                              "declared failed (default 2)")
@@ -764,9 +786,9 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-attempt wall-clock limit in seconds "
                              "(default unlimited)")
     parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from the "
-                             "checkpoint journal next to the run cache "
-                             "(requires --cache-dir)")
+                        help="deprecated, removed in 3.0: rerun with "
+                             "the same --cache-dir instead (requires "
+                             "--cache-dir)")
     parser.add_argument("--progress", action="store_true",
                         help="live sweep progress line on stderr (TTY); "
                              "mirrored into exec.progress.* metrics "
@@ -914,7 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--backend",
                                choices=("scalar", "batched", "auto"),
                                default="scalar",
-                               help="engine backend for this job")
+                               help="deprecated, removed in 3.0: every "
+                                    "value runs the scalar engine")
     submit_parser.add_argument("--retries", type=int, metavar="N",
                                help="per-cell retry budget")
     submit_parser.add_argument("--timeout", type=float, metavar="S",

@@ -95,15 +95,6 @@ class RunCache:
         """Telemetry-artifact path for ``fingerprint``."""
         return self.root / fingerprint[:2] / f"{fingerprint}.obs.json"
 
-    def checkpoint_path(self) -> Path:
-        """Conventional location of the sweep checkpoint journal.
-
-        The checkpoint (:class:`~repro.exec.resilience.SweepCheckpoint`)
-        lives next to the entries it refers to, so wiping the cache
-        directory also wipes the resume state that depends on it.
-        """
-        return self.root / "checkpoint.jsonl"
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

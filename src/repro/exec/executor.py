@@ -28,11 +28,11 @@ exhausts its budget becomes a :class:`~repro.exec.resilience.FailedCell`
 terminal record and the sweep finishes everything else before raising
 one :class:`~repro.exec.resilience.SweepFailure`.  Results crossing the
 process boundary are structurally validated, a repeatedly broken worker
-pool degrades to in-process serial execution with a loud warning, and an
-optional :class:`~repro.exec.resilience.SweepCheckpoint` journals
-completed fingerprints next to the run cache so an interrupted sweep
-resumes instead of recomputing.  Failure paths are exercised
-deterministically via :mod:`repro.exec.faults` (``REPRO_FAULTS``).
+pool degrades to in-process serial execution with a loud warning.
+Completed cells are cached as they finish, so relaunching an
+interrupted sweep with the same cache recomputes only the rest.
+Failure paths are exercised deterministically via
+:mod:`repro.exec.faults` (``REPRO_FAULTS``).
 
 Cells whose policy is not a :class:`~repro.exec.spec.PolicySpec` (a bare
 closure) cannot cross a process boundary or be fingerprinted; they are
@@ -43,7 +43,7 @@ The executor is **thread-safe**: any number of threads may call
 :meth:`SweepExecutor.run_cells` concurrently on one shared instance (the
 sweep service runs up to ``--job-concurrency`` jobs this way).  Shared
 state — memo, stats, the worker pool, the in-flight table — sits behind
-one lock; per-run knobs (cell policy, backend, progress sink) and
+one lock; per-run knobs (cell policy, progress sink) and
 attributed per-run stats bind through :meth:`SweepExecutor.scoped`,
 which is thread-local, so concurrent runs never see each other's
 configuration.  Concurrent runs share the pool fairly: with more than
@@ -66,8 +66,8 @@ returns a :class:`~repro.obs.snapshot.TelemetrySnapshot` alongside its
 result.  Snapshots ride the memo, are persisted as content-addressed
 artifacts next to the cache entry (replayed on warm hits), and are
 merged into the ambient telemetry in cell submission order — so serial,
-parallel, cached and resumed sweeps produce byte-identical merged
-metrics and journals (see ``docs/observability.md``).
+parallel and cached sweeps produce byte-identical merged metrics and
+journals (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import (BrokenExecutor, Future,
                                 ProcessPoolExecutor)
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -88,8 +89,8 @@ from repro.exec.cache import RunCache
 from repro.exec.fingerprint import (FingerprintError, canonical,
                                     fingerprint)
 from repro.exec.resilience import (CellPolicy, CellTimeout, FailedCell,
-                                   SweepCheckpoint, SweepFailure,
-                                   validate_result, validate_snapshot)
+                                   SweepFailure, validate_result,
+                                   validate_snapshot)
 from repro.exec.spec import PolicySpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.progress import SweepProgress
@@ -131,22 +132,12 @@ class Cell:
         }
 
 
-def cell_fingerprint(cell: Cell, backend: str = "scalar") -> str | None:
-    """Content fingerprint of ``cell``, or ``None`` if not spec-backed.
-
-    ``backend`` participates in the fingerprint whenever it deviates
-    from the scalar reference engine: batched results are byte-identical
-    by contract, but keying them separately means a cache can never mask
-    an identity regression — and scalar fingerprints (the historical
-    format) are unchanged.
-    """
+def cell_fingerprint(cell: Cell) -> str | None:
+    """Content fingerprint of ``cell``, or ``None`` if not spec-backed."""
     if not (cell.policy is None or isinstance(cell.policy, PolicySpec)):
         return None
-    parts = cell.key()
-    if backend != "scalar":
-        parts["backend"] = backend
     try:
-        return fingerprint(**parts)
+        return fingerprint(**cell.key())
     except FingerprintError:
         return None
 
@@ -205,76 +196,6 @@ def _execute_cell(cell: Cell, fp: str | None = None, attempt: int = 0,
     return result, seconds, capture_snapshot(local)
 
 
-def _execute_batch(cells: list[Cell], fps: list[str | None],
-                   capture: CaptureSpec | None = None) -> list:
-    """Run one batch-compatible cell group (worker/parent entry point).
-
-    Returns one outcome per cell, in order: either the same
-    ``(result, seconds, snapshot)`` tuple :func:`_execute_cell`
-    produces, or a :class:`~repro.sim.batched.BatchCellError` when that
-    member failed — a failing member never takes its batch-mates down,
-    so the executor caches the survivors and retries only the loser.
-
-    Members are engine-batched through
-    :func:`~repro.sim.batched.run_batch`; under telemetry ``capture``
-    each member instead runs the identity-pinned scalar engine with its
-    own private capture (instrumentation samples per-event state at
-    scalar rate anyway), still inside this single dispatch.  Fault
-    injection stays per-member, keyed on each member's fingerprint at
-    attempt 0.
-    """
-    from repro.sim.batched import BatchCellError, BatchItem, run_batch
-    from repro.workloads.builder import build_traces
-
-    outcomes: list = [None] * len(cells)
-    members: list[int] = []
-    items: list = []
-    for index, cell in enumerate(cells):
-        try:
-            corrupt = faults.inject_before(fps[index], 0)
-        except Exception as exc:  # noqa: BLE001 — isolate the member
-            error = BatchCellError(index, f"{type(exc).__name__}: {exc}")
-            error.cause = exc
-            outcomes[index] = error
-            continue
-        if corrupt is not None:
-            outcomes[index] = (faults.CORRUPT_SENTINEL, 0.0, None)
-            continue
-        if capture is not None:
-            try:
-                outcomes[index] = _execute_cell(cell, capture=capture)
-            except Exception as exc:  # noqa: BLE001
-                error = BatchCellError(index,
-                                       f"{type(exc).__name__}: {exc}")
-                error.cause = exc
-                outcomes[index] = error
-            continue
-        try:
-            traces = build_traces(cell.workload, cell.trace_system,
-                                  cell.sim)
-        except Exception as exc:  # noqa: BLE001
-            error = BatchCellError(index, f"{type(exc).__name__}: {exc}")
-            error.cause = exc
-            outcomes[index] = error
-            continue
-        members.append(index)
-        items.append(BatchItem(traces=traces, sim=cell.sim,
-                               policy_factory=cell.policy,
-                               policy_name=cell.policy_name,
-                               telemetry=None))
-    if items:
-        run_system = cells[members[0]].run_system
-        started = time.perf_counter()
-        results = run_batch(run_system, items, collect_errors=True)
-        share = (time.perf_counter() - started) / len(items)
-        for index, result in zip(members, results):
-            if isinstance(result, BatchCellError):
-                outcomes[index] = BatchCellError(index, result.message)
-            else:
-                outcomes[index] = (result, share, None)
-    return outcomes
-
-
 @dataclass
 class ExecutorStats:
     """Work accounting across one executor's lifetime."""
@@ -282,7 +203,6 @@ class ExecutorStats:
     cells: int = 0
     computed: int = 0
     inline: int = 0
-    batched: int = 0
     memo_hits: int = 0
     #: memo hits that were *raced*: the fingerprint was in flight on
     #: another run when this run scanned it, so this run attached to the
@@ -290,7 +210,6 @@ class ExecutorStats:
     #: counted as a memo hit — dedup refines the hit, it does not
     #: replace it.
     dedup_hits: int = 0
-    resumed: int = 0
     retries: int = 0
     timeouts: int = 0
     failed: int = 0
@@ -310,12 +229,8 @@ class ExecutorStats:
         line = (f"cells={self.cells} computed={self.computed} "
                 f"memo_hits={self.memo_hits} inline={self.inline} "
                 f"retries={self.retries} timeouts={self.timeouts}")
-        if self.batched:
-            line += f" batched={self.batched}"
         if self.dedup_hits:
             line += f" dedup_hits={self.dedup_hits}"
-        if self.resumed:
-            line += f" resumed={self.resumed}"
         if self.failed:
             line += f" failed={self.failed}"
         if self.fallbacks:
@@ -355,7 +270,6 @@ class ScopedRun:
     """
 
     policy: CellPolicy | None = None
-    backend: str | None = None
     progress: SweepProgress | None = None
     stats: ExecutorStats = field(default_factory=ExecutorStats)
 
@@ -375,25 +289,14 @@ class SweepExecutor:
         Per-cell :class:`CellPolicy` (timeout, retries, backoff).  The
         default retries twice with no timeout — a clean run is a single
         attempt with zero overhead.
-    checkpoint:
-        Optional :class:`SweepCheckpoint` journalling completed cell
-        fingerprints; pair it with ``cache`` so a resumed run can serve
-        the journalled cells without recomputation.
     progress:
         Optional :class:`~repro.obs.progress.SweepProgress` fed with
-        cell-level events (submitted / hit / resumed / computed /
-        retried / failed) for live reporting.
-    backend:
-        Engine backend for computed cells: ``"scalar"`` (reference,
-        default), ``"batched"`` or ``"auto"``.  Non-scalar backends run
-        :func:`~repro.experiments.common.plan_backends` over each
-        submitted cell list and dispatch compatible groups through the
-        columnar batch engine — byte-identical results, one Python
-        dispatch per step for the whole group.  A per-attempt
-        ``timeout_s`` disables batching (the batch engine has no
-        per-member timeout), and a member that fails inside a batch is
-        retried alone on the scalar path while its batch-mates are
-        cached normally.
+        cell-level events (submitted / hit / computed / retried /
+        failed) for live reporting.
+    checkpoint, backend:
+        Deprecated and ignored (removed in 3.0): passing either warns
+        once.  Every cell runs on the scalar engine, and a relaunch
+        with the same ``cache`` recomputes only the missing cells.
     """
 
     #: Pool breakages tolerated before degrading to serial execution.
@@ -401,21 +304,23 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1, cache: RunCache | None = None,
                  policy: CellPolicy | None = None,
-                 checkpoint: SweepCheckpoint | None = None,
+                 checkpoint=None,
                  progress: SweepProgress | None = None,
-                 backend: str = "scalar") -> None:
+                 backend: str | None = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if backend not in ("scalar", "batched", "auto"):
+        if backend not in (None, "scalar", "batched", "auto"):
             raise ValueError("backend must be one of "
                              "('scalar', 'batched', 'auto'), "
                              f"got {backend!r}")
+        if checkpoint is not None or backend is not None:
+            warnings.warn("SweepExecutor(checkpoint=, backend=) is "
+                          "deprecated and ignored; it will be removed in "
+                          "3.0", DeprecationWarning, stacklevel=2)
         self.jobs = jobs
         self.cache = cache
         self._policy = policy if policy is not None else CellPolicy()
-        self.checkpoint = checkpoint
         self._progress_sink = progress
-        self._backend = backend
         self.stats = ExecutorStats()
         self.failures: list[FailedCell] = []
         #: fingerprint -> (result, snapshot-or-None); snapshots are kept
@@ -443,7 +348,6 @@ class SweepExecutor:
 
     @contextmanager
     def scoped(self, policy: CellPolicy | None = None,
-               backend: str | None = None,
                progress: SweepProgress | None = None):
         """Bind per-thread knobs and attributed stats for a ``with``
         block.
@@ -455,13 +359,7 @@ class SweepExecutor:
         executor's defaults.  Bindings nest (the previous one is
         restored on exit) and never leak across threads.
         """
-        if backend is not None and backend not in ("scalar", "batched",
-                                                   "auto"):
-            raise ValueError("backend must be one of "
-                             "('scalar', 'batched', 'auto'), "
-                             f"got {backend!r}")
-        binding = ScopedRun(policy=policy, backend=backend,
-                            progress=progress)
+        binding = ScopedRun(policy=policy, progress=progress)
         previous = self._binding()
         self._local.binding = binding
         try:
@@ -479,17 +377,6 @@ class SweepExecutor:
     @policy.setter
     def policy(self, value: CellPolicy) -> None:
         self._policy = value
-
-    @property
-    def backend(self) -> str:
-        binding = self._binding()
-        if binding is not None and binding.backend is not None:
-            return binding.backend
-        return self._backend
-
-    @backend.setter
-    def backend(self, value: str) -> None:
-        self._backend = value
 
     @property
     def progress(self) -> SweepProgress | None:
@@ -515,13 +402,11 @@ class SweepExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool and checkpoint down (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self.checkpoint is not None:
-            self.checkpoint.close()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -571,24 +456,19 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_cells(self, cells: list[Cell],
-                  plan=None) -> list[RunResult]:
+    def run_cells(self, cells: list[Cell]) -> list[RunResult]:
         """Execute ``cells`` and return results in submission order.
 
         Cells that fail terminally (retry budget exhausted) are reported
         in one :class:`SweepFailure` raised *after* every other cell has
-        completed and been cached/checkpointed, so a relaunch — with
-        ``--resume`` or a warm cache — redoes only the losers.
+        completed and been cached, so a relaunch with the same cache
+        redoes only the losers.
 
         With ambient telemetry active, every cell additionally captures
         a :class:`TelemetrySnapshot` (in the worker, inline, or replayed
         from memo/cache) and the snapshots are merged into the ambient
         telemetry here, in submission order — one merged run per cell
         occurrence, whatever the execution mode.
-
-        ``plan`` optionally pre-binds the backend assignment (a
-        :class:`~repro.experiments.common.BatchPlan` for exactly this
-        cell list); by default a non-scalar executor plans here.
         """
         started = time.perf_counter()
         self._stat("cells", len(cells))
@@ -605,8 +485,7 @@ class SweepExecutor:
             self._active_runs += 1
         try:
             try:
-                results, snaps = self._run(cells, failures, capture,
-                                           plan)
+                results, snaps = self._run(cells, failures, capture)
             finally:
                 if self.progress is not None:
                     self.progress.finish()
@@ -652,17 +531,9 @@ class SweepExecutor:
                 tracer.end(span)
 
     def _run(self, cells: list[Cell], failures: list[FailedCell],
-             capture: CaptureSpec | None, plan=None):
+             capture: CaptureSpec | None):
         results: list[RunResult | None] = [None] * len(cells)
         snaps: list[TelemetrySnapshot | None] = [None] * len(cells)
-        if plan is None and cells and self.backend != "scalar" \
-                and self.policy.timeout_s is None:
-            # Late import: experiments.common builds cells *from* this
-            # module, so the planner cannot be imported at module level.
-            from repro.experiments.common import plan_backends
-            plan = plan_backends(cells, self.backend)
-        backends = None if plan is None else plan.backends
-        fps: list[str | None] = [None] * len(cells)
         #: fingerprint -> indices this run will compute itself (owned).
         pending: dict[str, list[int]] = {}
         #: fingerprint -> indices attached to another run's computation.
@@ -676,10 +547,7 @@ class SweepExecutor:
         # attaches to every cell — never an interleaved split.
         with self._lock:
             for index, cell in enumerate(cells):
-                fp = cell_fingerprint(
-                    cell,
-                    "scalar" if backends is None else backends[index])
-                fps[index] = fp
+                fp = cell_fingerprint(cell)
                 if fp is None:
                     inline.append(index)
                     continue
@@ -691,7 +559,6 @@ class SweepExecutor:
                     continue
                 known = self._lookup(fp, capture)
                 if known is not None:
-                    self._mark_done(fp)
                     results[index], snaps[index] = known
                     continue
                 flight = self._inflight.get(fp)
@@ -702,8 +569,8 @@ class SweepExecutor:
                 pending[fp] = [index]
 
         try:
-            self._run_owned(cells, fps, pending, flights, inline,
-                            results, snaps, failures, capture, plan)
+            self._run_owned(cells, pending, flights, inline, results,
+                            snaps, failures, capture)
             for fp, indices in attached.items():
                 outcome = self._await_flight(fp, cells[indices[0]],
                                              capture)
@@ -711,7 +578,6 @@ class SweepExecutor:
                     failures.append(outcome)
                     continue
                 result, snap = outcome
-                self._mark_done(fp)
                 for index in indices:
                     results[index] = result
                     snaps[index] = snap
@@ -723,36 +589,17 @@ class SweepExecutor:
                 self._finish_flight(fp, flight)
         return results, snaps
 
-    def _run_owned(self, cells: list[Cell], fps: list[str | None],
+    def _run_owned(self, cells: list[Cell],
                    pending: dict[str, list[int]],
                    flights: dict[str, "_Flight"], inline: list[int],
                    results: list, snaps: list,
                    failures: list[FailedCell],
-                   capture: CaptureSpec | None, plan) -> None:
+                   capture: CaptureSpec | None) -> None:
         """Compute every fingerprint this run owns (claimed at scan)."""
-        chunks = self._batch_chunks(plan, fps, pending, cells)
-        in_batches = {fp for _, chunk_fps in chunks for fp in chunk_fps}
-        singles = [(fp, indices) for fp, indices in pending.items()
-                   if fp not in in_batches]
-
+        singles = list(pending.items())
         with self._lock:
             shared = self._active_runs > 1
-        use_pool = self._pool_usable() and \
-            (shared or (len(singles) + len(chunks)) > 1)
-        batch_futures: list[tuple[list[Cell], list[str],
-                                  Future | None,
-                                  ProcessPoolExecutor | None]] = []
-        for chunk_cells, chunk_fps in chunks:
-            future = pool = None
-            if use_pool and self._pool_usable():
-                try:
-                    pool = self._pool_handle()
-                    future = pool.submit(_execute_batch, chunk_cells,
-                                         chunk_fps, capture)
-                except Exception:
-                    self._note_pool_failure(self._pool)
-                    future = pool = None
-            batch_futures.append((chunk_cells, chunk_fps, future, pool))
+        use_pool = self._pool_usable() and (shared or len(singles) > 1)
 
         # Fair-share sliding window: a lone run submits every single
         # eagerly (the historical behaviour); with other runs active,
@@ -803,46 +650,10 @@ class SweepExecutor:
             result, seconds, snap = outcome
             self._account_computed(result, seconds)
             self._store(fp, cells[indices[0]], result, snap)
-            self._mark_done(fp)
             self._finish_flight(fp, flights[fp])
             for index in indices:
                 results[index] = result
                 snaps[index] = snap
-
-        for chunk_cells, chunk_fps, future, pool in batch_futures:
-            outcomes = None
-            if future is not None:
-                try:
-                    outcomes = future.result()
-                except BrokenExecutor:
-                    self._note_pool_failure(pool)
-                except Exception:
-                    outcomes = None
-            else:
-                try:
-                    outcomes = _execute_batch(chunk_cells, chunk_fps,
-                                              capture)
-                except Exception:
-                    outcomes = None
-            if outcomes is None or len(outcomes) != len(chunk_fps):
-                # The whole batch dispatch died (broken pool, engine
-                # construction error): every member retries alone.
-                outcomes = [None] * len(chunk_fps)
-            for member, fp in enumerate(chunk_fps):
-                outcome = self._finish_batch_member(
-                    chunk_cells[member], fp, outcomes[member], capture)
-                if isinstance(outcome, FailedCell):
-                    failures.append(outcome)
-                    self._finish_flight(fp, flights[fp], failed=outcome)
-                    continue
-                result, seconds, snap = outcome
-                self._account_computed(result, seconds)
-                self._store(fp, chunk_cells[member], result, snap)
-                self._mark_done(fp)
-                self._finish_flight(fp, flights[fp])
-                for index in pending[fp]:
-                    results[index] = result
-                    snaps[index] = snap
 
     # ------------------------------------------------------------------
     # In-flight deduplication (singleflight)
@@ -912,68 +723,6 @@ class SweepExecutor:
         concurrent runs (the ``repro_scheduler_inflight_cells`` gauge)."""
         with self._lock:
             return len(self._inflight)
-
-    def _batch_chunks(self, plan, fps: list[str | None],
-                      pending: dict[str, list[int]],
-                      cells: list[Cell]) \
-            -> list[tuple[list[Cell], list[str]]]:
-        """Batched ``(cells, fingerprints)`` chunks still needing compute.
-
-        Plan groups are filtered to pending fingerprints and deduplicated
-        (one engine lane per unique cell, however often it recurs in the
-        sweep); with a usable pool each chunk is split evenly across the
-        workers so even a lone big batch saturates ``--jobs N``.
-        """
-        if plan is None or not plan.groups:
-            return []
-        chunks: list[tuple[list[Cell], list[str]]] = []
-        seen: set[str] = set()
-        for group in plan.groups:
-            chunk_cells: list[Cell] = []
-            chunk_fps: list[str] = []
-            for index in group:
-                fp = fps[index]
-                if fp is None or fp in seen or fp not in pending:
-                    continue
-                seen.add(fp)
-                chunk_cells.append(cells[index])
-                chunk_fps.append(fp)
-            if chunk_fps:
-                chunks.append((chunk_cells, chunk_fps))
-        if self._pool_usable() and chunks:
-            split: list[tuple[list[Cell], list[str]]] = []
-            for chunk_cells, chunk_fps in chunks:
-                parts = min(self.jobs, len(chunk_fps))
-                size = -(-len(chunk_fps) // parts)
-                for start in range(0, len(chunk_fps), size):
-                    split.append((chunk_cells[start:start + size],
-                                  chunk_fps[start:start + size]))
-            chunks = split
-        return chunks
-
-    def _finish_batch_member(self, cell: Cell, fp: str, outcome,
-                             capture: CaptureSpec | None):
-        """Accept one batch member's outcome, or retry it standalone.
-
-        A valid ``(result, seconds, snapshot)`` tuple is accepted as-is;
-        anything else — a :class:`~repro.sim.batched.BatchCellError`, a
-        corrupt result, a missing snapshot under capture — sends the
-        member through :meth:`_resolve_cell` alone with a fresh attempt
-        budget, so one bad cell never poisons its batch-mates.
-        """
-        if isinstance(outcome, tuple):
-            result, seconds, snap = outcome
-            problem = validate_result(result)
-            if problem is None and capture is not None:
-                problem = validate_snapshot(snap)
-            if problem is None:
-                self._stat("batched")
-                return result, seconds, snap
-        self._stat("retries")
-        self._obs_inc("exec.retries")
-        self._progress("retried")
-        self._span_event("batch_retry", {"policy": cell.policy_name})
-        return self._resolve_cell(fp, cell, None, None, capture)
 
     # ------------------------------------------------------------------
     # Resilience
@@ -1095,10 +844,6 @@ class SweepExecutor:
             raise payload
         return payload
 
-    def _mark_done(self, fp: str) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.mark(fp)
-
     def _obs_inc(self, name: str) -> None:
         """Mirror a resilience event into the ambient metrics registry."""
         telemetry = obs_runtime.active()
@@ -1144,13 +889,8 @@ class SweepExecutor:
                 cached = None if plain is None else (plain, None)
             if cached is not None:
                 result, snap = cached
-                resumed = self.checkpoint is not None and \
-                    self.checkpoint.was_done(fp)
-                if resumed:
-                    self._stat("resumed")
-                self._progress("resumed" if resumed else "hit")
-                self._span_event("resumed" if resumed else "cache_hit",
-                                 {"fingerprint": fp[:12]})
+                self._progress("hit")
+                self._span_event("cache_hit", {"fingerprint": fp[:12]})
                 self._memo[fp] = (result, snap)
                 return result, snap
         return None
@@ -1181,6 +921,4 @@ class SweepExecutor:
         line = f"executor[jobs={self.jobs}]: {self.stats.describe()}"
         if self.cache is not None:
             line += f"; {self.cache.describe()}"
-        if self.checkpoint is not None:
-            line += f"; {self.checkpoint.describe()}"
         return line

@@ -1,4 +1,4 @@
-"""Per-cell execution policy, terminal failure records and checkpoints.
+"""Per-cell execution policy and terminal failure records.
 
 PR 2's executor was fail-fast: one crashed worker, one hung cell or one
 SIGTERM aborted the whole sweep and discarded every completed cell that
@@ -16,18 +16,17 @@ make :class:`~repro.exec.executor.SweepExecutor` fault-tolerant:
 * :func:`validate_result` — structural sanity check on whatever comes
   back across the process boundary, so a corrupted result is retried
   like a crash rather than silently rendered into a table.
-* :class:`SweepCheckpoint` — an append-only journal of completed cell
-  fingerprints kept next to the run cache.  An interrupted ``--mode
-  full`` sweep relaunched with ``--resume`` loads the journal, serves finished
-  cells from the cache and re-submits only the remainder; output stays
-  byte-identical to an uninterrupted run.
+
+Completed cells are cached as they finish, so an interrupted sweep
+relaunched with the same run cache recomputes only the remainder,
+byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,84 +165,16 @@ def validate_snapshot(snapshot) -> str | None:
 
 
 class SweepCheckpoint:
-    """Append-only journal of completed cell fingerprints.
-
-    One JSON line per completed cell, flushed on write, kept next to the
-    run cache (``<cache>/checkpoint.jsonl`` by convention).  A fresh run
-    truncates the journal; ``resume=True`` loads it instead, and the
-    executor reports cells found both here and in the cache as *resumed*.
-    Truncated trailing lines (a run killed mid-append) are ignored, so a
-    checkpoint can never make a relaunch fail — at worst one cell is
-    recomputed.
-    """
-
-    SCHEMA = 1
+    """Deprecated no-op, removed in 3.0: relaunch with the same run
+    cache instead, which recomputes only the cells not cached yet."""
 
     def __init__(self, path: str | os.PathLike,
                  resume: bool = False) -> None:
+        warnings.warn("SweepCheckpoint is deprecated and does nothing; "
+                      "relaunch with the same run cache instead (removed "
+                      "in 3.0)", DeprecationWarning, stacklevel=2)
         self.path = Path(path)
         self.resume = resume
-        self._done: set[str] = set()
-        self._previous: frozenset[str] = frozenset()
-        self._handle = None
-        if resume:
-            self._previous = frozenset(self._load())
-            self._done = set(self._previous)
-        else:
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-
-    def _load(self) -> set[str]:
-        done: set[str] = set()
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a killed run
-                    if isinstance(record, dict) and \
-                            record.get("schema") == self.SCHEMA and \
-                            isinstance(record.get("fp"), str):
-                        done.add(record["fp"])
-        except OSError:
-            pass
-        return done
-
-    def was_done(self, fp: str) -> bool:
-        """Whether ``fp`` completed in the interrupted run being resumed."""
-        return fp in self._previous
-
-    def __contains__(self, fp: str) -> bool:
-        return fp in self._done
-
-    def __len__(self) -> int:
-        return len(self._done)
-
-    def mark(self, fp: str) -> None:
-        """Record ``fp`` as completed (idempotent, flushed immediately)."""
-        if fp in self._done:
-            return
-        self._done.add(fp)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps({"schema": self.SCHEMA, "fp": fp},
-                                      sort_keys=True) + "\n")
-        self._handle.flush()
 
     def close(self) -> None:
-        """Close the journal file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def describe(self) -> str:
-        mode = "resume" if self.resume else "fresh"
-        return (f"checkpoint[{self.path}]: {mode} done={len(self._done)} "
-                f"previous={len(self._previous)}")
+        """Nothing to close."""

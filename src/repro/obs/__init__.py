@@ -32,7 +32,7 @@ off (enforced by ``tests/test_obs_determinism.py``).
 Telemetry composes with parallel and cached execution: workers capture
 per-cell :class:`~repro.obs.snapshot.TelemetrySnapshot`\\ s which the
 parent merges deterministically in cell submission order, so serial,
-``--jobs N``, warm-cache and ``--resume`` sweeps produce byte-identical
+``--jobs N``, warm-cache and relaunched sweeps produce byte-identical
 merged metrics and journals (``tests/test_obs_parallel.py``).
 """
 

@@ -30,19 +30,18 @@ concurrent.
 
 Per-job knobs ride the :class:`~repro.experiments.common.RunOptions`
 wire record: ``retries``/``timeout_s`` become the executor's
-:class:`~repro.exec.resilience.CellPolicy` for that job, ``backend``
-selects the engine backend (batched groups reuse the planner from
-``experiments.common``).  The knobs bind through
+:class:`~repro.exec.resilience.CellPolicy` for that job (the deprecated
+``backend`` field is ignored).  The knobs bind through
 :meth:`~repro.exec.SweepExecutor.scoped` — thread-local, so concurrent
 jobs never see each other's policy — and the same scope yields the
 job's **attributed counters**: exactly the cells/computed/memo work
 this job generated, with no snapshot arithmetic against global totals
 that neighbouring jobs are mutating.  ``resume`` is rejected at
-submission — the service has no per-job checkpoint journal; its memo
-and cache already provide the equivalent warm restart.
+submission — the service's memo and cache already serve completed
+cells warm.
 
 Every cell-level event the executor reports (submitted / computed /
-memo or cache hit / resumed / retried / failed) is appended to the
+memo or cache hit / retried / failed) is appended to the
 job's ordered event log with a monotonically increasing ``seq``, which
 is what the server's NDJSON stream — and the client's
 reconnect-with-cursor — ride on.  Event logs are strictly per-job even
@@ -87,6 +86,7 @@ TERMINAL_STATES = ("done", "failed")
 
 #: Executor counters mirrored into each job record (the same counters
 #: the executor mirrors into the obs metrics registry as ``exec.*``).
+#: ``resumed`` and ``batched`` are retired and read 0 until 3.0.
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
                   "resumed", "retries", "timeouts", "failed", "batched",
                   "inline")
@@ -170,7 +170,7 @@ class JobScheduler:
     executor:
         The executor every job runs through.  Its memo (and cache, if
         configured) is the coalescing layer shared across jobs; each
-        job binds its own ``policy``/``backend``/progress sink through
+        job binds its own ``policy`` and progress sink through
         the executor's thread-local :meth:`~SweepExecutor.scoped`
         scope.  Defaults to a serial cacheless executor.
     spans:
@@ -456,7 +456,6 @@ class JobScheduler:
         state, error, result_json = "done", None, None
         spans_json = None
         with executor.scoped(policy=policy,
-                             backend=job.options.backend,
                              progress=_JobProgress(self, job)) as scope:
             try:
                 with exec_runtime.activated(executor), \
@@ -474,7 +473,7 @@ class JobScheduler:
                 error = f"{type(exc).__name__}: {exc}"
                 traceback.print_exc()
         with self._lock:
-            job.counters = {name: getattr(scope.stats, name)
+            job.counters = {name: getattr(scope.stats, name, 0)
                             for name in COUNTER_FIELDS}
             job.state = state
             job.error = error

@@ -1,28 +1,27 @@
-"""The batched columnar engine backend (:mod:`repro.sim.batched`).
+"""The deprecated batch API (:mod:`repro.sim.batched`).
 
-Byte-identity against :func:`~repro.sim.runner.run_simulation_reference`
-is pinned by ``test_engine_identity.py``; this module covers the batch
-machinery itself — multi-cell batches, per-member fault isolation
-(``collect_errors``), telemetry routing, edge-shaped cells — and the
-batching planner (:func:`~repro.experiments.common.plan_backends`).
+``run_batch`` and ``run_simulation_batched`` now loop over the scalar
+engine; these tests keep their contract: results byte-identical to
+:func:`~repro.sim.runner.run_simulation_reference`, per-member fault
+isolation (``collect_errors``), telemetry routing and edge-shaped
+cells.  The warnings themselves are checked in ``test_public_api.py``.
 """
 
 import pytest
 
 from tests import golden_engine
 from repro.exec.executor import Cell, cell_fingerprint
-from repro.mc.mitigation import coupled_mint_factory
+from repro.exec.fingerprint import fingerprint
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
 from repro.sim.batched import (BatchCellError, BatchItem, run_batch,
                                run_simulation_batched)
-from repro.sim.config import SimConfig, SystemConfig
+from repro.sim.config import SimConfig
 from repro.sim.runner import run_simulation_reference
 from repro.workloads.builder import build_traces
 from repro.workloads.profiles import profile
 
-from repro.experiments.common import (AUTO_BATCH_MIN, MAX_BATCH_CELLS,
-                                      plan_backends)
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _grid_items(system):
@@ -95,7 +94,7 @@ class TestRunBatch:
 
 
 class _ExplodingPolicy:
-    """Detonates after ``fuse`` activations (escape-path crash)."""
+    """Detonates after ``fuse`` activations (mid-run policy crash)."""
 
     def __init__(self, fuse: int) -> None:
         self.fuse = fuse
@@ -215,86 +214,11 @@ class TestMultiChannelRejected:
             run_batch(multi, [BatchItem(traces=traces, sim=sim)])
 
 
-def _planner_cells(count, policy=None, policy_name="none", system=None):
-    system = system or golden_engine._system()
-    cells = []
-    for seed in range(count):
-        sim = SimConfig(requests_per_core=100, seed=seed)
-        cells.append(Cell(workload=profile("mcf"), trace_system=system,
-                          run_system=system, sim=sim, policy=policy,
-                          policy_name=policy_name))
-    return cells
-
-
-class TestPlanner:
-    def test_scalar_plans_nothing(self):
-        plan = plan_backends(_planner_cells(8), "scalar")
-        assert plan.groups == ()
-        assert set(plan.backends) == {"scalar"}
-        assert plan.batched_cells == 0
-
-    def test_batched_groups_compatible_cells(self):
-        cells = _planner_cells(6)
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 6
-        assert set(plan.backends) == {"batched"}
-        assert sorted(i for g in plan.groups for i in g) == list(range(6))
-
-    def test_batched_includes_policy_cells(self):
-        cells = _planner_cells(3, policy=coupled_mint_factory(500),
-                               policy_name="mint")
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 3
-
-    def test_auto_excludes_policy_cells(self):
-        cells = _planner_cells(6) + _planner_cells(
-            6, policy=coupled_mint_factory(500), policy_name="mint")
-        plan = plan_backends(cells, "auto")
-        assert plan.batched_cells == 6
-        assert all(plan.backends[i] == "scalar" for i in range(6, 12))
-
-    def test_auto_needs_minimum_group(self):
-        plan = plan_backends(_planner_cells(AUTO_BATCH_MIN - 1), "auto")
-        assert plan.batched_cells == 0
-        plan = plan_backends(_planner_cells(AUTO_BATCH_MIN), "auto")
-        assert plan.batched_cells == AUTO_BATCH_MIN
-
-    def test_groups_split_by_run_system(self):
-        base = golden_engine._system()
-        other = SystemConfig.baseline(refs_per_window=32, num_cores=4)
-        cells = _planner_cells(4, system=base) + \
-            _planner_cells(4, system=other)
-        plan = plan_backends(cells, "batched")
-        assert len(plan.groups) == 2
-        assert plan.batched_cells == 8
-
-    def test_groups_capped_at_max_batch(self):
-        cells = _planner_cells(5)
-        plan = plan_backends(cells, "batched", max_batch=2)
-        assert [len(group) for group in plan.groups] == [2, 2, 1]
-        assert MAX_BATCH_CELLS >= 2  # the default cap is sane
-
-    def test_unfingerprintable_cells_stay_scalar(self):
-        cells = _planner_cells(4, policy=lambda context: None,
-                               policy_name="closure")
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 0
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            plan_backends(_planner_cells(2), "gpu")
-
-
 class TestBackendFingerprint:
-    def test_batched_fingerprint_differs_from_scalar(self):
-        [cell] = _planner_cells(1)
-        scalar = cell_fingerprint(cell)
-        batched = cell_fingerprint(cell, backend="batched")
-        assert scalar is not None and batched is not None
-        assert scalar != batched
-
     def test_scalar_fingerprint_is_historical(self):
-        """``backend="scalar"`` must not perturb existing cache keys."""
-        [cell] = _planner_cells(1)
-        assert cell_fingerprint(cell) == \
-            cell_fingerprint(cell, backend="scalar")
+        """Cell fingerprints hash the cell key alone, so existing cache
+        entries stay warm."""
+        system = golden_engine._system()
+        cell = Cell(profile("mcf"), system, system,
+                    SimConfig(requests_per_core=100, seed=1), None, "none")
+        assert cell_fingerprint(cell) == fingerprint(**cell.key())

@@ -235,11 +235,12 @@ class TestExecFlags:
         assert "executor[jobs=2]" in err
 
     def test_batched_backend_byte_identical_to_serial(self, capsys):
+        """The deprecated flag warns once and runs the scalar engine."""
         serial, _ = self._run_json(capsys)
         for backend in ("batched", "auto"):
             routed, err = self._run_json(capsys, "--backend", backend)
             assert routed == serial
-            assert "executor[jobs=1]" in err
+            assert err.count("deprecated") == 1
 
     def test_batched_backend_composes_with_jobs_and_cache(self, tmp_path,
                                                           capsys):
@@ -342,7 +343,7 @@ class TestResilienceFlags:
                                       "--cache-dir", cache)
         assert code == 1
         assert "failed terminally" in err
-        assert "rerun (with --resume)" in err
+        assert "rerun with the same --cache-dir" in err
         monkeypatch.delenv("REPRO_FAULTS")
         code, recovered, err = self._run_json(capsys, "--cache-dir",
                                               cache, "--resume")
@@ -351,6 +352,8 @@ class TestResilienceFlags:
 
     def test_resume_after_clean_run_serves_checkpoint(self, tmp_path,
                                                       capsys):
+        """Deprecated ``--resume`` warns; the warm cache serves every
+        cell."""
         cache = str(tmp_path / "runcache")
         code, cold, _ = self._run_json(capsys, "--cache-dir", cache)
         assert code == 0
@@ -358,7 +361,8 @@ class TestResilienceFlags:
                                          "--resume")
         assert code == 0
         assert warm == cold
-        assert "resumed=10" in err
+        assert "--resume is deprecated" in err
+        assert "hits=10 misses=0" in err
 
 
 class TestStats:

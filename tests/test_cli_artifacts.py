@@ -92,6 +92,30 @@ class TestExitTwoMatrix:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,env", [
+        pytest.param(["run", "table1", "--jobs", "-2"], {}, id="jobs"),
+        pytest.param(["run", "table1", "--retries", "-1"], {},
+                     id="retries"),
+        pytest.param(["run", "table1", "--timeout", "0"], {},
+                     id="timeout"),
+        pytest.param(["report", "table1", "--requests", "0"], {},
+                     id="requests"),
+        pytest.param(["serve", "--jobs", "-1", "--port", "0"], {},
+                     id="serve-jobs"),
+        pytest.param(["run", "table1"], {"REPRO_JOBS": "abc"},
+                     id="env-jobs"),
+    ])
+    def test_bad_input_exits_2(self, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("argv_for", [
         pytest.param(lambda url: ["jobs", "--url", url],
                      id="jobs-unreachable"),

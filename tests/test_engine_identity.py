@@ -1,4 +1,4 @@
-"""Byte-identity contract of the engine hot paths, across backends.
+"""Byte-identity contract of the engine hot path.
 
 The PR-5 overhaul (packed heap tuples, inlined fetch, row-hit fast
 path, cached refresh deadline) must be invisible in simulated output:
@@ -7,10 +7,6 @@ path, cached refresh deadline) must be invisible in simulated output:
 byte-identical :meth:`~repro.sim.results.RunResult.to_json`, journals
 and metrics, and both must match the checked-in goldens generated by
 the seed code (``tests/data/goldens/``, see ``tests/golden_engine.py``).
-
-PR 7 adds a **backend axis**: the batched columnar engine
-(:func:`~repro.sim.batched.run_simulation_batched`) joins the same
-contract — one set of goldens, every backend reproduces it exactly.
 """
 
 import json
@@ -21,7 +17,6 @@ from tests import golden_engine
 from repro.mc.mitigation import coupled_mint_factory
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
-from repro.sim.batched import run_simulation_batched
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation, run_simulation_reference
 from repro.workloads.builder import build_traces
@@ -32,8 +27,7 @@ GRID = [(workload, design, seed)
         for seed in golden_engine.SEEDS]
 
 #: Engine entry points under test, against the reference loop.
-BACKEND_RUNNERS = {"optimized": run_simulation,
-                   "batched": run_simulation_batched}
+BACKEND_RUNNERS = {"optimized": run_simulation}
 
 
 def _run(runner, workload, design, seed, telemetry=None):
@@ -79,23 +73,22 @@ class TestBackendsMatchReference:
 class TestGoldens:
     """Live code versus the goldens the seed commit generated."""
 
-    @pytest.mark.parametrize("backend", golden_engine.BACKENDS)
+    @pytest.mark.parametrize("backend", ["scalar"])
     def test_results_match_goldens(self, backend):
         golden_records, _, _ = golden_engine.load_goldens()
         live = {record["cell"]: record["result_json"]
-                for record in golden_engine.compute_results(
-                    backend=backend)}
+                for record in golden_engine.compute_results()}
         for record in golden_records:
             assert live[record["cell"]] == record["result_json"], \
                 f"engine output diverged on {record['cell']} [{backend}]"
         assert len(live) == len(golden_records)
 
-    @pytest.mark.parametrize("backend", golden_engine.BACKENDS)
+    @pytest.mark.parametrize("backend", ["scalar"])
     def test_journal_and_metrics_match_goldens(self, backend):
         _, golden_lines, golden_metrics = golden_engine.load_goldens()
-        lines, metrics = golden_engine.compute_journal(backend=backend)
-        assert lines == golden_lines
-        assert metrics == golden_metrics
+        lines, metrics = golden_engine.compute_journal()
+        assert lines == golden_lines, backend
+        assert metrics == golden_metrics, backend
 
 
 class _ExplodingPolicy:

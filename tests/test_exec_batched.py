@@ -1,22 +1,22 @@
-"""Batched backend through :class:`~repro.exec.executor.SweepExecutor`.
+"""The deprecated ``SweepExecutor(backend=...)`` spelling.
 
-The executor must produce byte-identical results whatever the backend
-(``scalar`` / ``batched`` / ``auto``), serial or pooled, with batched
-fingerprints keyed separately from scalar ones, and a member that dies
-inside a batch failing alone while its batch-mates are cached.
+Every backend value runs the scalar engine, so results are
+byte-identical to a plain executor, serial or pooled, with the same
+memo reuse and per-cell fault isolation.
 """
 
 import pytest
 
 from tests import golden_engine
 from repro.exec import faults
-from repro.exec.cache import RunCache
 from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
 from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.sim.config import SimConfig
 from repro.workloads.profiles import profile
 
 REQUESTS = 400
+
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _cells(designs=("none", "mint-drfmsb"), seeds=(1, 2),
@@ -56,58 +56,12 @@ class TestBackendIdentity:
             got = _jsons(executor.run_cells(_cells()))
         assert got == scalar_reference
 
-    def test_batched_counts_in_stats(self):
-        with SweepExecutor(backend="batched") as executor:
-            executor.run_cells(_cells())
-            assert executor.stats.batched == len(_cells())
-            assert "batched=" in executor.stats.describe()
-
-    def test_auto_batches_only_policy_free_groups(self):
-        cells = _cells(designs=("none", "mint-drfmsb"), seeds=(1, 2, 3, 4))
-        with SweepExecutor(backend="auto") as executor:
-            executor.run_cells(cells)
-            # 4 policy-free baselines batch; 4 mint cells stay scalar.
-            assert executor.stats.batched == 4
-            assert executor.stats.computed == 8
-
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             SweepExecutor(backend="gpu")
 
-    def test_timeout_disables_batching(self):
-        """A per-attempt timeout cannot be enforced inside a batch, so
-        the executor silently falls back to scalar dispatch."""
-        cells = _cells(designs=("none",), seeds=(1, 2, 3, 4))
-        with SweepExecutor(backend="batched",
-                           policy=CellPolicy(timeout_s=120)) as executor:
-            executor.run_cells(cells)
-            assert executor.stats.batched == 0
-            assert executor.stats.computed == len(cells)
-
 
 class TestBackendCaching:
-    def test_batched_results_cached_under_batched_key(self, tmp_path):
-        cells = _cells(designs=("none",), seeds=(1, 2))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            first = _jsons(executor.run_cells(cells))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            second = _jsons(executor.run_cells(cells))
-            assert executor.stats.computed == 0  # warm cache served all
-        assert first == second
-
-    def test_scalar_cache_not_shared_with_batched(self, tmp_path):
-        """Batched runs are keyed separately: a warm scalar cache can
-        never mask a batched-engine identity regression."""
-        cells = _cells(designs=("none",), seeds=(1,))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache")) as executor:
-            executor.run_cells(cells)
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            executor.run_cells(cells)
-            assert executor.stats.computed == len(cells)
-
     def test_memo_serves_repeated_batched_cells(self):
         cells = _cells(designs=("none",), seeds=(1, 2))
         with SweepExecutor(backend="batched") as executor:
@@ -127,7 +81,7 @@ class TestBackendCaching:
 class TestBatchFaultIsolation:
     def test_crashing_member_fails_alone(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3, 4))
-        fps = [cell_fingerprint(cell, backend="batched")
+        fps = [cell_fingerprint(cell)
                for cell in cells]
         victim = fps[1]
         faults.install(faults.FaultPlan.parse(f"crash:{victim[:12]}:99"))
@@ -138,7 +92,7 @@ class TestBatchFaultIsolation:
                     executor.run_cells(cells)
                 assert len(excinfo.value.failures) == 1
                 assert excinfo.value.failures[0].fingerprint == victim
-                # Batch-mates survived and are memoised.
+                # The other cells survived and are memoised.
                 for fp in fps:
                     assert (fp in executor._memo) == (fp != victim)
         finally:
@@ -146,7 +100,7 @@ class TestBatchFaultIsolation:
 
     def test_crash_once_recovers_via_scalar_retry(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3))
-        fps = [cell_fingerprint(cell, backend="batched")
+        fps = [cell_fingerprint(cell)
                for cell in cells]
         faults.install(faults.FaultPlan.parse(f"crash:{fps[0][:12]}:1"))
         try:
@@ -162,7 +116,7 @@ class TestBatchFaultIsolation:
 
     def test_corrupt_member_recovers_alone(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3))
-        fps = [cell_fingerprint(cell, backend="batched")
+        fps = [cell_fingerprint(cell)
                for cell in cells]
         faults.install(faults.FaultPlan.parse(f"corrupt:{fps[2][:12]}:1"))
         try:

@@ -1,7 +1,7 @@
 """End-to-end determinism of telemetry under every execution mode.
 
 The tentpole guarantee: a sweep run serially, fanned over workers,
-served from a warm cache, or resumed from a checkpoint produces
+served from a warm cache, or relaunched on a partly filled cache produces
 **byte-identical** merged telemetry — the deterministic ``metrics``
 section, the journal records and the timeline — because each cell's
 snapshot is captured where the cell executes and merged in the fixed
@@ -15,7 +15,6 @@ import pytest
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import SweepCheckpoint
 from repro.experiments.common import DesignSpec, sweep_designs
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import no_mitigation_factory
@@ -87,23 +86,20 @@ class TestByteIdenticalAcrossModes:
     def test_resume_matches_serial_without_double_counting(
             self, tmp_path, small_system, small_sim, designs, workloads):
         serial = _merged(designs, small_system, small_sim, workloads)
-        cache = RunCache(tmp_path / "runcache")
-        checkpoint = SweepCheckpoint(cache.checkpoint_path())
-        with SweepExecutor(cache=cache,
-                           checkpoint=checkpoint) as cold_exec:
+        with SweepExecutor(cache=RunCache(tmp_path / "runcache")) \
+                as cold_exec:
             _merged(designs, small_system, small_sim, workloads,
                     cold_exec)
+        # Relaunch on the same cache: every cell is served warm.
         resume_cache = RunCache(tmp_path / "runcache")
-        resume_checkpoint = SweepCheckpoint(
-            resume_cache.checkpoint_path(), resume=True)
-        with SweepExecutor(cache=resume_cache,
-                           checkpoint=resume_checkpoint) as resumed_exec:
+        with SweepExecutor(cache=resume_cache) as resumed_exec:
             resumed = _merged(designs, small_system, small_sim,
                               workloads, resumed_exec)
-        assert resumed_exec.stats.resumed == CELLS
+        assert resume_cache.stats.hits == CELLS
+        assert resumed_exec.stats.computed == 0
         for key in ("metrics", "journal", "timeline"):
             assert resumed[key] == serial[key], key
-        # Satellite guarantee: a resumed sweep counts every cell exactly
+        # A relaunched sweep counts every cell exactly
         # once — no double-counted runs, no duplicated journal records
         # or timeline samples.
         telemetry = resumed["telemetry"]

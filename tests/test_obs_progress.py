@@ -87,7 +87,7 @@ class TestAccounting:
     def test_done_kinds_advance_completion(self):
         progress = SweepProgress(stream=io.StringIO())
         progress.add_cells(4)
-        for kind in ("computed", "hit", "resumed"):
+        for kind in ("computed", "hit", "hit"):
             progress.record(kind)
         progress.record("retried")
         progress.record("failed")

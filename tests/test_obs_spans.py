@@ -4,8 +4,8 @@ The tentpole guarantee mirrors ``test_obs_parallel.py``: the
 **normalized** span tree (wall-clock stripped, execution-side spans
 spliced, execution-side events dropped) is byte-identical whether a
 sweep ran serially, over ``--jobs N`` workers, from a warm cache, or
-across an interrupt + ``--resume`` — and ``RunResult.to_json()`` never
-changes with span tracing on or off.
+across an interrupt and a relaunch on the same cache — and
+``RunResult.to_json()`` never changes with span tracing on or off.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import SweepCheckpoint
 from repro.experiments.common import DesignSpec, sweep_designs
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import no_mitigation_factory
@@ -218,20 +217,17 @@ class TestSpanTreeByteIdenticalAcrossModes:
     def test_resume_matches_serial(self, tmp_path, small_system,
                                    small_sim, designs, workloads):
         serial, _ = _traced(designs, small_system, small_sim, workloads)
-        cache = RunCache(tmp_path / "runcache")
-        checkpoint = SweepCheckpoint(cache.checkpoint_path())
-        with SweepExecutor(cache=cache,
-                           checkpoint=checkpoint) as cold_exec:
+        with SweepExecutor(cache=RunCache(tmp_path / "runcache")) \
+                as cold_exec:
             _traced(designs, small_system, small_sim, workloads,
                     cold_exec)
+        # Relaunch on the same cache: every cell is served warm.
         resume_cache = RunCache(tmp_path / "runcache")
-        resume_checkpoint = SweepCheckpoint(
-            resume_cache.checkpoint_path(), resume=True)
-        with SweepExecutor(cache=resume_cache,
-                           checkpoint=resume_checkpoint) as resumed_exec:
+        with SweepExecutor(cache=resume_cache) as resumed_exec:
             resumed, _ = _traced(designs, small_system, small_sim,
                                  workloads, resumed_exec)
-        assert resumed_exec.stats.resumed == CELLS
+        assert resume_cache.stats.hits == CELLS
+        assert resumed_exec.stats.computed == 0
         assert resumed == serial
 
     def test_run_result_json_unchanged_by_spans(self, small_system,

@@ -140,3 +140,62 @@ class TestReadmeQuickstart:
             ComparisonResult(baseline, coupled).slowdown_percent
         assert dream.average_rlp > 5.0
         clear_cache()
+
+
+def _deprecations(call):
+    """``call()``'s value and the DeprecationWarnings it raised."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return value, [w for w in caught if w.category is DeprecationWarning]
+
+
+class TestDeprecatedSpellings:
+    """Names deprecated in 2.x (removed in 3.0) warn exactly once and
+    give the scalar engine's bytes."""
+
+    def test_run_simulation_batched(self, small_system, small_sim):
+        traces = repro.build_traces("mcf", small_system, small_sim)
+        args = (small_system, traces, small_sim,
+                repro.coupled_mint_factory(500), "mint")
+        result, warned = _deprecations(
+            lambda: repro.run_simulation_batched(*args))
+        assert len(warned) == 1
+        assert result.to_json() == repro.run_simulation(*args).to_json()
+
+    def test_run_batch_collects_member_errors(self, small_system,
+                                              small_sim):
+        traces = repro.build_traces("mcf", small_system, small_sim)
+
+        def broken(context):
+            raise RuntimeError("factory exploded")
+
+        items = [repro.BatchItem(traces=traces, sim=small_sim),
+                 repro.BatchItem(traces=traces, sim=small_sim,
+                                 policy_factory=broken)]
+        results, warned = _deprecations(lambda: repro.run_batch(
+            small_system, items, collect_errors=True))
+        assert len(warned) == 1
+        assert results[0].to_json() == repro.run_simulation(
+            small_system, traces, small_sim).to_json()
+        assert isinstance(results[1], repro.BatchCellError)
+        assert "factory exploded" in results[1].message
+
+    def test_sweep_executor_backend_and_checkpoint(self, tmp_path,
+                                                   small_system,
+                                                   small_sim):
+        from repro.exec.executor import Cell
+
+        cells = [Cell(repro.profile("mcf"), small_system, small_system,
+                      small_sim, None, "none")]
+        checkpoint, warned = _deprecations(
+            lambda: repro.SweepCheckpoint(tmp_path / "c.jsonl", True))
+        assert len(warned) == 1
+        executor, warned = _deprecations(lambda: repro.SweepExecutor(
+            backend="batched", checkpoint=checkpoint))
+        assert len(warned) == 1
+        with executor, repro.SweepExecutor() as scalar:
+            assert executor.run_cells(cells)[0].to_json() == \
+                scalar.run_cells(cells)[0].to_json()

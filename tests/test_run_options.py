@@ -57,7 +57,8 @@ class TestRecord:
     def test_resilience_knobs_detected(self):
         assert RunOptions(retries=3).wants_resilience()
         assert RunOptions(timeout_s=10.0).wants_resilience()
-        assert RunOptions(resume=True).wants_resilience()
+        with pytest.deprecated_call():
+            assert RunOptions(resume=True).wants_resilience()
 
     def test_describe_names_the_knobs(self):
         text = RunOptions(mode="full", retries=3).describe()
@@ -67,7 +68,8 @@ class TestRecord:
     def test_backend_defaults_scalar_and_describes(self):
         assert RunOptions().backend == "scalar"
         assert "backend" not in RunOptions().describe()
-        options = RunOptions(backend="batched")
+        with pytest.deprecated_call():
+            options = RunOptions(backend="batched")
         assert not options.wants_resilience()  # backend is not a knob
         assert "backend=batched" in options.describe()
 
@@ -81,10 +83,11 @@ class TestWireFormat:
         assert RunOptions.from_json(RunOptions().to_json()) == RunOptions()
 
     def test_round_trip_every_field(self):
-        options = RunOptions(mode="full", requests_per_core=123, seed=7,
-                             retries=4, timeout_s=1.5, resume=True,
-                             backend="auto")
-        assert RunOptions.from_json(options.to_json()) == options
+        with pytest.deprecated_call():
+            options = RunOptions(mode="full", requests_per_core=123,
+                                 seed=7, retries=4, timeout_s=1.5,
+                                 resume=True, backend="auto")
+            assert RunOptions.from_json(options.to_json()) == options
 
     def test_json_is_canonical(self):
         # sort_keys → stable bytes: identical options produce identical
@@ -136,15 +139,31 @@ class TestRunExperimentV2:
 
     @pytest.mark.parametrize("backend", ["batched", "auto"])
     def test_backend_byte_identical(self, tiny_quick_subset, backend):
-        """The registry scopes a batched-backend executor around the
-        run and the output is byte-identical to scalar."""
+        """A deprecated backend runs the scalar engine: same bytes."""
         scalar = registry.run_experiment(
             "ablation-atm", RunOptions(seed=11,
                                        requests_per_core=BUDGET))
         clear_cache()
-        routed = registry.run_experiment(
-            "ablation-atm", RunOptions(seed=11, requests_per_core=BUDGET,
-                                       backend=backend))
+        with pytest.deprecated_call():
+            options = RunOptions(seed=11, requests_per_core=BUDGET,
+                                 backend=backend)
+        routed = registry.run_experiment("ablation-atm", options)
+        assert routed.to_json() == scalar.to_json()
+
+    def test_deprecated_wire_fields_warn_once_and_run_scalar(
+            self, tiny_quick_subset):
+        """``backend``/``resume`` still parse off the wire: one warning
+        for both, and the run is byte-identical to the default."""
+        scalar = registry.run_experiment(
+            "ablation-atm", RunOptions(seed=11,
+                                       requests_per_core=BUDGET))
+        clear_cache()
+        with pytest.warns(DeprecationWarning) as caught:
+            options = RunOptions.from_dict(
+                {"backend": "auto", "resume": True, "seed": 11,
+                 "requests_per_core": BUDGET})
+        assert len(caught) == 1
+        routed = registry.run_experiment("ablation-atm", options)
         assert routed.to_json() == scalar.to_json()
 
     def test_wire_round_trip_runs_identically(self, tiny_quick_subset):

@@ -60,8 +60,10 @@ class TestScheduler:
             scheduler.submit("nope", RunOptions())
 
     def test_resume_rejected(self, scheduler):
+        with pytest.deprecated_call():
+            options = RunOptions(resume=True)
         with pytest.raises(BadSubmission, match="resume"):
-            scheduler.submit("table4", RunOptions(resume=True))
+            scheduler.submit("table4", options)
 
     def test_unknown_job_raises(self, scheduler):
         with pytest.raises(UnknownJob):

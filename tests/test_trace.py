@@ -80,72 +80,15 @@ class TestHelpers:
 
 
 class TestColumnsMemoization:
-    """Per-dtype memoization of :meth:`MemoryTrace.columns` (PR 7)."""
-
-    def _trace(self):
-        return MemoryTrace("t",
-                           np.array([0, 1, 0, 1], dtype=np.int8),
-                           np.array([3, 2, 1, 0], dtype=np.int16),
-                           np.array([5, 6, 7, 8], dtype=np.int64),
-                           np.array([10, 20, 30, 40], dtype=np.int64))
+    """:meth:`MemoryTrace.columns` builds its Python-int lists once."""
 
     def test_default_columns_are_python_lists(self):
-        columns = self._trace().columns()
+        trace = MemoryTrace("t", np.array([0, 1, 0, 1], dtype=np.int8),
+                            np.array([3, 2, 1, 0], dtype=np.int16),
+                            np.array([5, 6, 7, 8], dtype=np.int64),
+                            np.array([10, 20, 30, 40], dtype=np.int64))
+        columns = trace.columns()
         assert all(isinstance(column, list) for column in columns)
         assert columns[2] == [5, 6, 7, 8]
         assert all(isinstance(value, int) for value in columns[2])
-
-    def test_dtype_columns_are_contiguous_arrays(self):
-        columns = self._trace().columns(dtype=np.int64)
-        assert all(isinstance(column, np.ndarray) for column in columns)
-        assert all(column.dtype == np.int64 for column in columns)
-        assert all(column.flags["C_CONTIGUOUS"] for column in columns)
-
-    def test_each_dtype_memoized_independently(self):
-        """The scalar and batched engines must not rebuild (or clobber)
-        each other's columns on alternating calls."""
-        trace = self._trace()
-        plain = trace.columns()
-        wide = trace.columns(dtype=np.int64)
-        assert trace.columns() is plain
-        assert trace.columns(dtype=np.int64) is wide
-        # Alternating access keeps both cached (the pre-PR-7 one-slot
-        # cache silently rebuilt on every dtype switch).
-        assert trace.columns() is plain
-        assert trace.columns(dtype="int64") is wide  # dtype-key, not str
-
-    def test_invalidate_drops_every_dtype(self):
-        trace = self._trace()
-        plain = trace.columns()
-        wide = trace.columns(dtype=np.int64)
-        trace.row[0] = 99
-        trace.invalidate_columns()
-        assert trace.columns() is not plain
-        assert trace.columns()[2][0] == 99
-        fresh = trace.columns(dtype=np.int64)
-        assert fresh is not wide
-        assert fresh[2][0] == 99
-
-    def test_invalidate_drops_batched_word_packing(self):
-        """The batched engine memoizes its packed trace words on the
-        same cache, so invalidation covers them too."""
-        from repro.sim.batched import run_simulation_batched
-        from repro.sim.config import SimConfig, SystemConfig
-        from repro.sim.runner import run_simulation_reference
-        from repro.workloads.builder import build_traces
-
-        system = SystemConfig.baseline(refs_per_window=32)
-        sim = SimConfig(requests_per_core=50, seed=1)
-        traces = build_traces("mcf", system, sim, calibrate=False)
-        run_simulation_batched(system, traces, sim, None, "none")
-        assert any("_columns_cache" in trace.__dict__
-                   for trace in traces)
-        for trace in traces:
-            trace.invalidate_columns()
-            assert "_columns_cache" not in trace.__dict__
-        # Still byte-identical after the caches were dropped.
-        batched = run_simulation_batched(system, traces, sim, None,
-                                         "none")
-        reference = run_simulation_reference(system, traces, sim, None,
-                                             "none")
-        assert batched.to_json() == reference.to_json()
+        assert trace.columns() is columns
