@@ -7,17 +7,18 @@ Every run writes its rendered result table to ``results/<name>.txt`` next
 to this directory so the regenerated numbers persist beyond the pytest
 output.
 
-Execution modes (telemetry composes with parallelism — the split below
-only picks where the events/sec accounting is read from):
+Each benchmark runs under one activated
+:class:`repro.exec.SweepExecutor`, as a CLI invocation does.  Execution
+modes (telemetry composes with parallelism — the split below only picks
+where the events/sec accounting is read from):
 
 * **Serial (default)** — each benchmark runs under a profiling-only
   telemetry instance and reports the engine's **events/sec** from the
   throughput gauge.
-* **Parallel** — ``REPRO_JOBS=N`` (N > 1) activates a
-  :class:`repro.exec.SweepExecutor`: sweep cells fan out over N worker
-  processes and the aggregate events/sec comes from the executor's own
-  accounting (worker wall-clock does not fold into the parent's
-  profiler).  ``REPRO_CACHE_DIR=DIR`` additionally enables the
+* **Parallel** — with ``REPRO_JOBS=N`` (N > 1) sweep cells fan out over
+  N worker processes and the aggregate events/sec comes from the
+  executor's own accounting (worker wall-clock does not fold into the
+  parent's profiler).  ``REPRO_CACHE_DIR=DIR`` additionally enables the
   content-addressed run cache in either mode.
 
 Telemetry's *own* cost is benchmarked separately in ``bench_obs.py``,
@@ -102,25 +103,17 @@ def experiment_runner(benchmark):
     def run(name: str, runner, **kwargs) -> ExperimentResult:
         quick = not full_mode_enabled()
         jobs = _bench_jobs()
-        if jobs > 1:
-            telemetry = None
-            executor = SweepExecutor(jobs=jobs, cache=_bench_cache())
-        else:
-            telemetry = Telemetry(profile=True)
-            executor = (SweepExecutor(cache=_bench_cache())
-                        if _bench_cache() is not None else None)
+        telemetry = Telemetry(profile=True) if jobs == 1 else None
+        executor = SweepExecutor(jobs=jobs, cache=_bench_cache())
 
         def instrumented() -> ExperimentResult:
             with obs_runtime.activated(telemetry), \
                     exec_runtime.activated(executor):
                 return runner(quick=quick, **kwargs)
 
-        try:
+        with executor:
             result = benchmark.pedantic(instrumented, rounds=1,
                                         iterations=1)
-        finally:
-            if executor is not None:
-                executor.close()
         assert isinstance(result, ExperimentResult)
         assert result.rows, f"{name} produced no rows"
         RESULTS_DIR.mkdir(exist_ok=True)

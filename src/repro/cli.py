@@ -50,9 +50,12 @@ cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
 ``--requests N`` (per-core request-budget override for smoke runs) and
 ``--progress`` (live TTY progress line), plus the resilience flags
 ``--retries N`` (per-cell retry budget) and ``--timeout S``
-(per-attempt wall-clock limit).  An interrupted sweep is relaunched by
-re-running it with the same ``--cache-dir``: only the cells that are
-not cached yet are computed.  The deprecated ``--backend`` and
+(per-attempt wall-clock limit).  Every invocation runs all its
+experiments through one sweep executor, so a cell shared by several
+experiments (the unprotected baselines) is simulated once; its summary
+line ``[repro.exec] executor[...]`` goes to stderr.  An interrupted
+sweep is relaunched by re-running it with the same ``--cache-dir``: only
+the cells that are not cached yet are computed.  The deprecated ``--backend`` and
 ``--resume`` flags warn on stderr and change nothing (removed in 3.0).
 Out-of-range flag values print one ``error: ...`` line and exit 2.
 Results are byte-identical across serial, parallel and cached
@@ -204,20 +207,15 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _jobs_setting(args: argparse.Namespace) -> int | None:
-    """``--jobs``, else ``REPRO_JOBS``, else ``None``; must be >= 0."""
-    jobs = args.jobs
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "")
-        if not raw:
-            return None
-        try:
-            jobs = int(raw)
-        except ValueError:
-            _usage_error(f"REPRO_JOBS must be an integer, got {raw!r}")
-    if jobs < 0:
-        _usage_error(f"--jobs must be >= 0 (0 = all cores), got {jobs}")
-    return jobs
+def _int_env(name: str) -> int | None:
+    """Integer environment default, or ``None`` when unset or empty."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        _usage_error(f"{name} must be an integer, got {raw!r}")
 
 
 def _check_run_flags(args: argparse.Namespace) -> None:
@@ -239,50 +237,39 @@ def _check_run_flags(args: argparse.Namespace) -> None:
 
 
 def _build_executor(args: argparse.Namespace,
-                    telemetry) -> SweepExecutor | None:
-    """Construct a SweepExecutor from CLI flags, or ``None`` if all off.
+                    policy: CellPolicy | None = None) -> SweepExecutor:
+    """The invocation's one SweepExecutor (``run``, ``report``,
+    ``serve``).
 
-    Flags beat the ``REPRO_JOBS``/``REPRO_CACHE_DIR`` environment
-    defaults.  Telemetry composes with every executor feature: cells
-    capture per-cell snapshots (in workers, inline, or replayed from
-    the cache's telemetry artifacts) that merge deterministically in
-    cell order — ``telemetry`` is accepted only for interface symmetry.
+    ``--jobs``/``--cache-dir`` beat the ``REPRO_JOBS``/
+    ``REPRO_CACHE_DIR`` environment defaults; ``--no-cache`` and
+    ``--progress`` apply where the subcommand has them.  Telemetry
+    composes with every executor feature: cells capture per-cell
+    snapshots (in workers, inline, or replayed from the memo or the
+    cache's telemetry artifacts) that merge deterministically in cell
+    order.
     """
-    del telemetry  # telemetry no longer constrains execution
-    jobs_flag = _jobs_setting(args)
-    jobs = jobs_flag if jobs_flag is not None else 1
-    if jobs == 0:
+    jobs = args.jobs if args.jobs is not None else _int_env("REPRO_JOBS")
+    if jobs is None:
+        jobs = 1
+    elif jobs < 0:
+        _usage_error(f"--jobs must be >= 0 (0 = all cores), got {jobs}")
+    elif jobs == 0:
         jobs = os.cpu_count() or 1
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
     cache = None
-    if cache_dir and not args.no_cache:
+    if cache_dir and not getattr(args, "no_cache", False):
         cache = RunCache(cache_dir)
-    if args.resume and cache is None:
-        print("error: --resume needs a run cache (--cache-dir DIR or "
-              "REPRO_CACHE_DIR) holding the interrupted sweep's results",
-              file=sys.stderr)
-        raise SystemExit(2)
-    defaults = CellPolicy()
-    policy = CellPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries if args.retries is not None
-        else defaults.retries)
-    wants_executor = (args.retries is not None or
-                      args.timeout is not None or args.progress)
-    if jobs == 1 and cache is None and jobs_flag is None and \
-            not wants_executor:
-        return None
+    if getattr(args, "resume", False) and cache is None:
+        _usage_error("--resume needs a run cache (--cache-dir DIR or "
+                     "REPRO_CACHE_DIR) holding the interrupted sweep's "
+                     "results")
     progress = None
-    if args.progress:
+    if getattr(args, "progress", False):
         from repro.obs.progress import SweepProgress
         progress = SweepProgress()
     return SweepExecutor(jobs=jobs, cache=cache, policy=policy,
                          progress=progress)
-
-
-def _emit_executor(executor: SweepExecutor | None) -> None:
-    if executor is not None:
-        print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
@@ -294,42 +281,35 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
                       timeout_s=args.timeout)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    _check_run_flags(args)
-    names = args.experiments or registry.names()
-    telemetry = _build_telemetry(args)
-    executor = _build_executor(args, telemetry)
-    options = _run_options(args)
-    failed: list[str] = []
-    with obs_runtime.activated(telemetry), \
-            exec_runtime.activated(executor):
-        try:
-            for name in names:
-                watch = Stopwatch()
-                try:
-                    result = registry.run_experiment(name, options)
-                except SweepFailure as failure:
-                    failed.append(name)
-                    print(f"[repro.exec] {name}: {failure}",
-                          file=sys.stderr)
-                    continue
-                if args.json:
-                    print(result.to_json())
-                else:
-                    print(result.render())
-                    if args.chart:
-                        from repro.analysis.charts import chart_result
+def _run_experiments(args: argparse.Namespace, on_result,
+                     on_done=None) -> int:
+    """Run the named experiments (default all) under one executor.
 
-                        chart = chart_result(result.rows)
-                        if chart:
-                            print()
-                            print(chart)
-                    print(f"[{name} finished in {watch.elapsed_s:.1f}s]")
-                    print()
-        finally:
-            if executor is not None:
-                executor.close()
-    _emit_executor(executor)
+    ``on_result(name, result, elapsed_s)`` renders each finished
+    experiment and ``on_done()`` runs after the last one.  An experiment
+    with failed cells is reported on stderr and skipped; then the
+    executor summary and the telemetry outputs follow, and the exit code
+    is 1 if any experiment failed.
+    """
+    _check_run_flags(args)
+    telemetry = _build_telemetry(args)
+    options = _run_options(args)
+    executor = _build_executor(args, options.cell_policy())
+    failed: list[str] = []
+    with obs_runtime.activated(telemetry), executor, \
+            exec_runtime.activated(executor):
+        for name in args.experiments or registry.names():
+            watch = Stopwatch()
+            try:
+                result = registry.run_experiment(name, options)
+            except SweepFailure as failure:
+                failed.append(name)
+                print(f"[repro.exec] {name}: {failure}", file=sys.stderr)
+                continue
+            on_result(name, result, watch.elapsed_s)
+    if on_done is not None:
+        on_done()
+    print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
     _emit_telemetry(args, telemetry)
     if failed:
         print(f"[repro.cli] {len(failed)} experiment(s) had failed "
@@ -339,56 +319,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    def show(name, result, elapsed_s) -> None:
+        if args.json:
+            print(result.to_json())
+            return
+        print(result.render())
+        if args.chart:
+            from repro.analysis.charts import chart_result
+
+            chart = chart_result(result.rows)
+            if chart:
+                print()
+                print(chart)
+        print(f"[{name} finished in {elapsed_s:.1f}s]")
+        print()
+
+    return _run_experiments(args, show)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _check_run_flags(args)
-    names = args.experiments or registry.names()
-    telemetry = _build_telemetry(args)
-    executor = _build_executor(args, telemetry)
-    options = _run_options(args)
-    failed: list[str] = []
     sections = ["# DREAM reproduction report", ""]
-    with obs_runtime.activated(telemetry), \
-            exec_runtime.activated(executor):
-        try:
-            for name in names:
-                watch = Stopwatch()
-                try:
-                    result = registry.run_experiment(name, options)
-                except SweepFailure as failure:
-                    failed.append(name)
-                    print(f"[repro.exec] {name}: {failure}",
-                          file=sys.stderr)
-                    continue
-                sections.append(f"## {name}: {result.title}")
-                sections.append("")
-                sections.append("```")
-                sections.append(result.render())
-                sections.append("```")
-                sections.append(f"_regenerated in "
-                                f"{watch.elapsed_s:.1f}s_")
-                sections.append("")
-        finally:
-            if executor is not None:
-                executor.close()
-    report = "\n".join(sections)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(report)
-    _emit_executor(executor)
-    _emit_telemetry(args, telemetry)
-    if failed:
-        print(f"[repro.cli] {len(failed)} experiment(s) had failed "
-              f"cells: {', '.join(failed)} — completed cells are cached; "
-              f"rerun with the same --cache-dir to retry only the "
-              f"failures",
-              file=sys.stderr)
-        return 1
-    return 0
+
+    def add(name, result, elapsed_s) -> None:
+        sections.extend([f"## {name}: {result.title}", "", "```",
+                         result.render(), "```",
+                         f"_regenerated in {elapsed_s:.1f}s_", ""])
+
+    def write() -> None:
+        report = "\n".join(sections)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(report + "\n")
+            print(f"report written to {args.output}")
+        else:
+            print(report)
+
+    return _run_experiments(args, add, write)
 
 
 def _load_artifact(loader, *args):
@@ -590,20 +559,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobScheduler
     from repro.service.server import AccessLog, SweepService
 
-    jobs = _jobs_setting(args)
-    if jobs is None:
-        jobs = 1
-    elif jobs == 0:
-        jobs = os.cpu_count() or 1
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
-    cache = RunCache(cache_dir) if cache_dir else None
-    concurrency = args.job_concurrency \
-        if args.job_concurrency is not None \
-        else int(os.environ.get("REPRO_JOB_CONCURRENCY", "1") or "1")
+    concurrency = args.job_concurrency
+    if concurrency is None:
+        env = _int_env("REPRO_JOB_CONCURRENCY")
+        concurrency = 1 if env is None else env
     if concurrency < 1:
-        print("error: --job-concurrency must be >= 1", file=sys.stderr)
-        return 2
-    executor = SweepExecutor(jobs=jobs, cache=cache)
+        _usage_error(f"--job-concurrency must be >= 1, got {concurrency}")
+    executor = _build_executor(args)
     scheduler = JobScheduler(executor, spans=not args.no_spans,
                              concurrency=concurrency)
     access_log = AccessLog(args.access_log) if args.access_log else None
@@ -656,11 +618,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError, SweepClient
 
     _check_run_flags(args)
-    options = RunOptions(mode=_resolve_mode(args),
-                         requests_per_core=args.requests,
-                         seed=args.seed,
-                         retries=args.retries,
-                         timeout_s=args.timeout)
+    options = _run_options(args)
     client = SweepClient(_service_url(args))
     failed_error = None
     try:

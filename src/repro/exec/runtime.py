@@ -20,9 +20,11 @@ concurrent case exactly as isolated as the serial one.  Note that the
 service activates the same :class:`~repro.exec.SweepExecutor` on every
 worker, which is what makes its memo/cache/in-flight dedup span jobs.
 
-With nothing activated on the current thread, ``sweep_designs`` falls
-back to a private serial executor per sweep, which preserves the
-historical baseline-sharing behaviour exactly.
+With nothing activated on the current thread,
+:func:`repro.experiments.registry.run_experiment` creates one executor
+for its call and activates it here; ``sweep_designs`` itself never
+creates one and raises :class:`RuntimeError` when called with nothing
+active.
 """
 
 from __future__ import annotations

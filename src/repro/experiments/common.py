@@ -8,14 +8,16 @@ benchmark harness to full mode.
 
 The central helper, :func:`sweep_designs`, decomposes a sweep into
 independent cells — one unprotected baseline plus one mitigated run per
-design, per workload — and submits them through a
-:class:`repro.exec.SweepExecutor`.  The baseline is shared across every
-design (the runs are perfectly paired because traces are deterministic
-per (workload, system, seed)); with an ambient executor activated
-(``repro.exec.runtime``), it is also shared across *experiments*, fanned
-over a worker pool, and served from the content-addressed run cache.
-Results are merged back in a fixed (workload × design) order, so serial,
-parallel and cached executions render byte-identical tables.
+design, per workload — and submits them through the ambient
+:class:`repro.exec.SweepExecutor` (``repro.exec.runtime``), which
+:func:`repro.experiments.registry.run_experiment` guarantees is active.
+The baseline is shared across every design (the runs are perfectly
+paired because traces are deterministic per (workload, system, seed))
+and, through that one executor's memo, across *experiments*; the
+executor also fans cells over a worker pool and serves them from the
+content-addressed run cache.  Results are merged back in a fixed
+(workload × design) order, so serial, parallel and cached executions
+render byte-identical tables.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
-from repro.exec.executor import Cell, SweepExecutor
+from repro.exec.executor import Cell
+from repro.exec.resilience import CellPolicy
 from repro.mc.policy import PolicyFactory
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import ComparisonResult
@@ -169,10 +172,12 @@ class RunOptions:
                 from None
         return cls.from_dict(data)
 
-    def wants_resilience(self) -> bool:
-        """Whether any executor-facing knob deviates from the default."""
-        return (self.retries is not None or self.timeout_s is not None
-                or self.resume)
+    def cell_policy(self) -> CellPolicy:
+        """The sweep executor's per-cell policy for these options; a
+        ``None`` knob keeps the :class:`CellPolicy` default."""
+        if self.retries is None:
+            return CellPolicy(timeout_s=self.timeout_s)
+        return CellPolicy(timeout_s=self.timeout_s, retries=self.retries)
 
     def describe(self) -> str:
         parts = [f"mode={self.mode}", f"seed={self.seed}"]
@@ -329,20 +334,23 @@ def sweep_designs(designs: list[DesignSpec],
     """Run every design against every workload with shared baselines.
 
     Cells are submitted through the ambient
-    :class:`~repro.exec.SweepExecutor` when one is activated
-    (``repro.exec.runtime``), which brings cross-experiment baseline
-    sharing, the run cache and ``--jobs N`` fan-out; otherwise a private
-    serial executor reproduces the historical behaviour.  Ambient
-    telemetry (``repro.obs.runtime``) composes with all of it: each cell
-    captures its telemetry where it executes and the executor merges the
-    snapshots deterministically in cell order (see
-    ``docs/observability.md``).
+    :class:`~repro.exec.SweepExecutor` (``repro.exec.runtime``), which
+    brings cross-experiment baseline sharing, the run cache and
+    ``--jobs N`` fan-out; with none active this raises
+    :class:`RuntimeError`.  Ambient telemetry (``repro.obs.runtime``)
+    composes with all of it: each cell captures its telemetry where it
+    executes and the executor merges the snapshots deterministically in
+    cell order (see ``docs/observability.md``).
     """
     if workloads is None:
         workloads = profiles_for(quick=quick)
     executor = exec_runtime.active()
     if executor is None:
-        executor = SweepExecutor()
+        raise RuntimeError(
+            "sweep_designs needs an active SweepExecutor: run the "
+            "experiment through repro.experiments.registry."
+            "run_experiment, or activate one with "
+            "repro.exec.runtime.activated(executor)")
     results = executor.run_cells(sweep_cells(designs, system, sim,
                                              workloads))
     series = {spec.name: SlowdownSeries(spec.name) for spec in designs}

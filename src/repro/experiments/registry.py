@@ -3,7 +3,8 @@
 :func:`run_experiment` is the single dispatch point: the CLI, the
 benchmark harness and tests all enter here, so a sweep executor
 activated via :mod:`repro.exec.runtime` (worker pool + run cache) covers
-every experiment an invocation touches.
+every experiment an invocation touches.  It is also the only place that
+creates a fallback executor when a caller activated none.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import inspect
 from typing import Callable
 
+from repro.exec import runtime as exec_runtime
+from repro.exec.executor import SweepExecutor
 from repro.experiments import (ablations, dos, fig5, fig9, fig10, fig11,
                                fig15, fig17, fig19, fig22, fig23,
                                motivation, table1, table3, table4, table5,
@@ -85,11 +88,12 @@ def run_experiment(name: str,
     (all simulation-driven experiments do); analytic experiments
     without the parameter ignore the override.
 
-    The resilience knobs (``retries``/``timeout_s``) configure the
-    ambient sweep executor when the caller activated one; with no
-    ambient executor, a private executor carrying that policy is scoped
-    around the run, so library callers get fault tolerance without
-    touching :mod:`repro.exec.runtime`.
+    The run goes through this thread's ambient sweep executor when the
+    caller activated one, and that executor's own policy governs it.
+    Otherwise one executor is created for the whole call, with
+    ``options.cell_policy()`` (``retries``/``timeout_s``), activated
+    and closed afterwards — ``options`` sets the policy of that
+    fallback executor only.
 
     The pre-2.0 ``quick``/``seed``/``requests_per_core`` keyword
     surface was removed after its deprecation cycle; construct a
@@ -108,18 +112,8 @@ def run_experiment(name: str,
     if options.requests_per_core is not None and \
             "requests_per_core" in inspect.signature(runner).parameters:
         kwargs["requests_per_core"] = options.requests_per_core
-    if options.wants_resilience():
-        from repro.exec import runtime as exec_runtime
-        if exec_runtime.active() is None:
-            from repro.exec.executor import SweepExecutor
-            from repro.exec.resilience import CellPolicy
-
-            defaults = CellPolicy()
-            policy = CellPolicy(
-                timeout_s=options.timeout_s,
-                retries=options.retries if options.retries is not None
-                else defaults.retries)
-            with SweepExecutor(policy=policy) as executor, \
-                    exec_runtime.activated(executor):
-                return runner(**kwargs)
-    return runner(**kwargs)
+    if exec_runtime.active() is not None:
+        return runner(**kwargs)
+    with SweepExecutor(policy=options.cell_policy()) as executor, \
+            exec_runtime.activated(executor):
+        return runner(**kwargs)

@@ -30,7 +30,8 @@ concurrent.
 
 Per-job knobs ride the :class:`~repro.experiments.common.RunOptions`
 wire record: ``retries``/``timeout_s`` become the executor's
-:class:`~repro.exec.resilience.CellPolicy` for that job (the deprecated
+:class:`~repro.exec.resilience.CellPolicy` for that job, derived by
+:meth:`~repro.experiments.common.RunOptions.cell_policy` (the deprecated
 ``backend`` field is ignored).  The knobs bind through
 :meth:`~repro.exec.SweepExecutor.scoped` — thread-local, so concurrent
 jobs never see each other's policy — and the same scope yields the
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 
 from repro.exec import runtime as exec_runtime
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import CellPolicy, SweepFailure
+from repro.exec.resilience import SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import Telemetry
@@ -447,15 +448,10 @@ class JobScheduler:
 
     def _run_job(self, job: Job) -> None:
         executor = self.executor
-        defaults = CellPolicy()
-        policy = CellPolicy(
-            timeout_s=job.options.timeout_s,
-            retries=job.options.retries
-            if job.options.retries is not None else defaults.retries)
         telemetry = Telemetry(spans=True) if self.spans_enabled else None
         state, error, result_json = "done", None, None
         spans_json = None
-        with executor.scoped(policy=policy,
+        with executor.scoped(policy=job.options.cell_policy(),
                              progress=_JobProgress(self, job)) as scope:
             try:
                 with exec_runtime.activated(executor), \

@@ -10,6 +10,7 @@ from repro.analysis.spans import (DISPATCHER_PID, SpansFormatError,
                                   chrome_trace, critical_path,
                                   load_spans, render_spans,
                                   worker_breakdown)
+from repro.exec import runtime as exec_runtime
 from repro.exec.executor import SweepExecutor
 from repro.experiments.common import DesignSpec, sweep_designs
 from repro.mc.policy import no_mitigation_factory
@@ -47,7 +48,8 @@ def traced_sweep(tmp_path, small_system):
     telemetry = Telemetry(journal_memory=True, spans=True, profile=True)
     designs = [DesignSpec("none", no_mitigation_factory())]
     sim = SimConfig(requests_per_core=12_000, seed=7)
-    with obs_runtime.activated(telemetry):
+    with obs_runtime.activated(telemetry), \
+            exec_runtime.activated(SweepExecutor()):
         sweep_designs(designs, small_system, sim,
                       workloads=profiles_for(names=["mcf"]))
     path = tmp_path / "spans.json"

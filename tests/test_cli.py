@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -286,6 +288,22 @@ class TestExecFlags:
         # Telemetry artifacts land next to the cached result entries.
         artifacts = list((tmp_path / "runcache").rglob("*.obs.json"))
         assert len(artifacts) == 10
+
+    def test_default_flags_share_one_executor(self, capsys):
+        """With no exec flags one executor still serves the whole
+        invocation: fig9 reuses fig5's baselines from its memo, and the
+        output matches a --jobs 2 run byte for byte."""
+        argv = ["run", "fig5", "fig9", "--json", "--requests", "500"]
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr()
+        lines = [line for line in serial.err.splitlines()
+                 if line.startswith("[repro.exec] executor[jobs=1]")]
+        assert len(lines) == 1
+        memo_hits = int(re.search(r"memo_hits=(\d+)", lines[0]).group(1))
+        assert memo_hits > 0
+        assert parallel.out == serial.out
 
     def test_env_defaults_used_when_flags_absent(self, tmp_path,
                                                  monkeypatch, capsys):

@@ -104,6 +104,11 @@ class TestExitTwoMatrix:
                      id="serve-jobs"),
         pytest.param(["run", "table1"], {"REPRO_JOBS": "abc"},
                      id="env-jobs"),
+        pytest.param(["serve", "--port", "0"],
+                     {"REPRO_JOB_CONCURRENCY": "abc"},
+                     id="env-job-concurrency"),
+        pytest.param(["serve", "--job-concurrency", "0", "--port", "0"],
+                     {}, id="serve-job-concurrency"),
     ])
     def test_bad_input_exits_2(self, capsys, monkeypatch, argv, env):
         for name, value in env.items():

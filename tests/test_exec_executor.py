@@ -46,6 +46,8 @@ def _series_json(series) -> str:
 
 
 def _sweep(designs, small_system, sim, workloads, executor=None):
+    if executor is None:
+        executor = SweepExecutor()
     with exec_runtime.activated(executor):
         return sweep_designs(designs, small_system, sim,
                              workloads=workloads)

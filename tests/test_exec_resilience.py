@@ -54,6 +54,8 @@ def _series_json(series) -> str:
 
 
 def _sweep(designs, system, sim, workloads, executor=None):
+    if executor is None:
+        executor = SweepExecutor()
     with exec_runtime.activated(executor):
         return sweep_designs(designs, system, sim, workloads=workloads)
 

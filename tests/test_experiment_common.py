@@ -3,6 +3,8 @@
 import pytest
 
 from repro.dram.timing import ns
+from repro.exec import runtime as exec_runtime
+from repro.exec.executor import SweepExecutor
 from repro.experiments.common import (DesignSpec, ExperimentResult,
                                       default_sim_config, default_system,
                                       full_mode_enabled, series_rows,
@@ -79,8 +81,9 @@ class TestSweep:
             DesignSpec("noop", no_mitigation_factory()),
             DesignSpec("prac", moat_factory(1000), system=prac),
         ]
-        series = sweep_designs(specs, system, sim,
-                               workloads=profiles_for(names=["mcf"]))
+        with exec_runtime.activated(SweepExecutor()):
+            series = sweep_designs(specs, system, sim,
+                                   workloads=profiles_for(names=["mcf"]))
         assert series["noop"].average_slowdown == pytest.approx(0.0,
                                                                 abs=0.1)
         assert series["prac"].average_slowdown > 2.0
@@ -92,14 +95,22 @@ class TestSweep:
         system = default_system()
         sim = SimConfig(requests_per_core=1_000, seed=3)
         specs = [DesignSpec("noop", no_mitigation_factory())]
-        series = sweep_designs(specs, system, sim,
-                               workloads=profiles_for(
-                                   names=["blender", "add"]))
+        with exec_runtime.activated(SweepExecutor()):
+            series = sweep_designs(specs, system, sim,
+                                   workloads=profiles_for(
+                                       names=["blender", "add"]))
         rows = series_rows(series)
         assert [row["workload"] for row in rows] == \
             ["add", "blender", "AVERAGE"]
         assert all("noop" in row for row in rows)
         clear_cache()
+
+    def test_requires_an_active_executor(self, small_sim):
+        specs = [DesignSpec("noop", no_mitigation_factory())]
+        assert exec_runtime.active() is None
+        with pytest.raises(RuntimeError, match="run_experiment"):
+            sweep_designs(specs, default_system(), small_sim,
+                          workloads=profiles_for(names=["mcf"]))
 
     def test_series_rows_empty(self):
         assert series_rows({}) == []

@@ -8,6 +8,8 @@ live in ``benchmarks/``.
 
 import pytest
 
+from repro.exec import runtime as exec_runtime
+from repro.exec.executor import SweepExecutor
 from repro.experiments import registry
 from repro.experiments.common import ExperimentResult
 from repro.workloads.builder import clear_cache
@@ -35,6 +37,14 @@ def tiny_quick_subset(monkeypatch):
                         ("blender", "add"))
     yield
     clear_cache()
+
+
+@pytest.fixture(autouse=True)
+def ambient_executor():
+    """The runners are called directly, not through ``run_experiment``,
+    so each test activates the executor that call would."""
+    with SweepExecutor() as executor, exec_runtime.activated(executor):
+        yield executor
 
 
 class TestRegistry:

@@ -49,6 +49,8 @@ CELLS = 3
 def _merged(designs, small_system, small_sim, workloads, executor=None):
     """Run one instrumented sweep; return its comparable telemetry."""
     telemetry = Telemetry(journal_memory=True, sample_every_refi=2)
+    if executor is None:
+        executor = SweepExecutor()
     with obs_runtime.activated(telemetry), \
             exec_runtime.activated(executor):
         sweep_designs(designs, small_system, small_sim,

@@ -171,6 +171,8 @@ class TestSpanTracer:
 def _traced(designs, small_system, small_sim, workloads, executor=None):
     """One instrumented sweep; returns (normalized-JSON, telemetry)."""
     telemetry = Telemetry(journal_memory=True, spans=True)
+    if executor is None:
+        executor = SweepExecutor()
     with obs_runtime.activated(telemetry), \
             exec_runtime.activated(executor):
         sweep_designs(designs, small_system, small_sim,
@@ -250,7 +252,8 @@ class TestSpanTreeByteIdenticalAcrossModes:
                                        designs, workloads):
         telemetry = Telemetry(journal_memory=True)
         assert telemetry.spans is None
-        with obs_runtime.activated(telemetry):
+        with obs_runtime.activated(telemetry), \
+                exec_runtime.activated(SweepExecutor()):
             sweep_designs(designs, small_system, small_sim,
                           workloads=workloads)
         doc = telemetry.spans_doc()

@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+from repro.exec import runtime as exec_runtime
+from repro.exec.executor import SweepExecutor
+from repro.exec.resilience import CellPolicy
 from repro.experiments import registry
 from repro.experiments.common import (DEFAULT_SEED, MODES, RunOptions)
 from repro.workloads.builder import clear_cache
@@ -33,7 +36,7 @@ class TestRecord:
         assert options.mode == "quick"
         assert options.quick is True
         assert options.seed == DEFAULT_SEED
-        assert not options.wants_resilience()
+        assert options.cell_policy() == CellPolicy()
 
     def test_modes(self):
         assert MODES == ("quick", "full")
@@ -55,10 +58,12 @@ class TestRecord:
             RunOptions(**kwargs)
 
     def test_resilience_knobs_detected(self):
-        assert RunOptions(retries=3).wants_resilience()
-        assert RunOptions(timeout_s=10.0).wants_resilience()
+        assert RunOptions(retries=3).cell_policy() == CellPolicy(retries=3)
+        assert RunOptions(timeout_s=10.0).cell_policy() == \
+            CellPolicy(timeout_s=10.0)
         with pytest.deprecated_call():
-            assert RunOptions(resume=True).wants_resilience()
+            resumed = RunOptions(resume=True)
+        assert resumed.cell_policy() == CellPolicy()  # resume is ignored
 
     def test_describe_names_the_knobs(self):
         text = RunOptions(mode="full", retries=3).describe()
@@ -70,7 +75,7 @@ class TestRecord:
         assert "backend" not in RunOptions().describe()
         with pytest.deprecated_call():
             options = RunOptions(backend="batched")
-        assert not options.wants_resilience()  # backend is not a knob
+        assert options.cell_policy() == CellPolicy()  # not a knob
         assert "backend=batched" in options.describe()
 
 
@@ -175,3 +180,24 @@ class TestRunExperimentV2:
         wired = registry.run_experiment(
             "ablation-atm", RunOptions.from_json(options.to_json()))
         assert wired.to_json() == direct.to_json()
+
+    def test_fallback_is_one_executor_per_call(self, tiny_quick_subset,
+                                               monkeypatch):
+        """With nothing active, one executor (carrying the options'
+        policy) serves every sweep of the call, then is deactivated."""
+        created = []
+        init = SweepExecutor.__init__
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(SweepExecutor, "__init__", counted_init)
+        assert exec_runtime.active() is None
+        registry.run_experiment("ablation-window-scaling",
+                                RunOptions(seed=11,
+                                           requests_per_core=BUDGET))
+        assert len(created) == 1
+        assert created[0].policy == CellPolicy()
+        assert created[0].stats.cells > 0
+        assert exec_runtime.active() is None
