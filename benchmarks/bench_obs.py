@@ -5,10 +5,12 @@ a mitigation-heavy configuration, so journal/trace recording is
 exercised, not idle) in three telemetry configurations:
 
 * **off** — no telemetry at all (the default path: one pointer check);
-* **on** — in-memory journal + timeline sampling + metrics;
+* **on** — in-memory journal + timeline sampling + metrics, plus the
+  span tracer every telemetry carries (engine spans bracket the event
+  loop, so the per-event cost must stay nil);
 * **on+trace** — the above plus the bounded DRFM event trace;
-* **on+spans** — "on" plus the hierarchical span tracer (engine spans
-  bracket the event loop, so the per-event cost must stay nil);
+* **on+spans** — the same telemetry as "on" (spans can no longer be
+  switched off); kept so the ``obs.on+spans`` history series continues;
 * **on+export** — "on" plus the service observability plane exercised
   concurrently: a background scraper renders the Prometheus exposition
   from the live telemetry registry every 50 ms (a /v1/metrics scrape)
@@ -76,8 +78,7 @@ def _telemetry(config: str) -> Telemetry | None:
     if config == "off":
         return None
     return Telemetry(journal_memory=True, sample_every_refi=8,
-                     trace=(config == "on+trace"),
-                     spans=(config == "on+spans"))
+                     trace=(config == "on+trace"))
 
 
 class _ExportScraper:

@@ -12,14 +12,15 @@ Each benchmark runs under one activated
 modes (telemetry composes with parallelism — the split below only picks
 where the events/sec accounting is read from):
 
-* **Serial (default)** — each benchmark runs under a profiling-only
-  telemetry instance and reports the engine's **events/sec** from the
-  throughput gauge.
+* **Serial (default)** — each benchmark runs under a telemetry instance
+  and reports the engine's **events/sec** folded from its span tree
+  (``repro.obs.fold_profile``): events over the seconds spent inside
+  ``engine:event_loop`` spans.
 * **Parallel** — with ``REPRO_JOBS=N`` (N > 1) sweep cells fan out over
   N worker processes and the aggregate events/sec comes from the
-  executor's own accounting (worker wall-clock does not fold into the
-  parent's profiler).  ``REPRO_CACHE_DIR=DIR`` additionally enables the
-  content-addressed run cache in either mode.
+  executor's own accounting, which times each whole ``run_simulation``
+  call (setup and result assembly included).  ``REPRO_CACHE_DIR=DIR``
+  additionally enables the content-addressed run cache in either mode.
 
 Telemetry's *own* cost is benchmarked separately in ``bench_obs.py``,
 which writes ``results/BENCH_obs.json``.
@@ -41,7 +42,7 @@ from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
 from repro.experiments.common import ExperimentResult, full_mode_enabled
-from repro.obs import Telemetry
+from repro.obs import Telemetry, fold_profile
 from repro.obs import runtime as obs_runtime
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -119,9 +120,9 @@ def experiment_runner(benchmark):
         RESULTS_DIR.mkdir(exist_ok=True)
         rendered = result.render()
         if telemetry is not None:
-            throughput = telemetry.profiler.throughput
-            events = throughput.events
-            events_per_sec = throughput.events_per_sec
+            throughput = fold_profile(telemetry.spans.roots)["throughput"]
+            events = throughput["events"]
+            events_per_sec = throughput["events_per_sec"]
         else:
             events = executor.stats.engine_events
             events_per_sec = executor.stats.events_per_sec

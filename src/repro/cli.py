@@ -70,6 +70,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from repro.analysis.artifacts import ArtifactError
 from repro.core.security import revised_parameters
@@ -81,7 +82,7 @@ from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
-from repro.obs.profiling import Stopwatch
+from repro.obs.spans import fold_profile, render_profile
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -154,8 +155,7 @@ def _build_telemetry(args: argparse.Namespace):
     return Telemetry(journal_path=args.journal,
                      sample_every_refi=sample_every,
                      profile=args.profile,
-                     trace=bool(args.trace),
-                     spans=bool(args.spans))
+                     trace=bool(args.trace))
 
 
 def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
@@ -187,7 +187,7 @@ def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
     if args.profile:
         print()
         print("== wall-clock profile ==")
-        print(telemetry.profiler.render())
+        print(render_profile(fold_profile(telemetry.spans.roots)))
 
 
 def _resolve_mode(args: argparse.Namespace) -> str:
@@ -299,14 +299,14 @@ def _run_experiments(args: argparse.Namespace, on_result,
     with obs_runtime.activated(telemetry), executor, \
             exec_runtime.activated(executor):
         for name in args.experiments or registry.names():
-            watch = Stopwatch()
+            started = time.perf_counter()
             try:
                 result = registry.run_experiment(name, options)
             except SweepFailure as failure:
                 failed.append(name)
                 print(f"[repro.exec] {name}: {failure}", file=sys.stderr)
                 continue
-            on_result(name, result, watch.elapsed_s)
+            on_result(name, result, time.perf_counter() - started)
     if on_done is not None:
         on_done()
     print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
@@ -453,18 +453,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(bar_chart(items, unit=" acts"))
 
     for profile in by_kind.get("profile", []):
-        phases = profile.get("phases", {})
-        if phases:
-            print()
-            print("wall-clock phases:")
-            for name, data in sorted(phases.items(),
-                                     key=lambda kv: -kv[1]["seconds"]):
-                print(f"  {name:24} {data['seconds']:9.3f}s "
-                      f"x{data['calls']}")
-        throughput = profile.get("throughput", {})
-        if throughput.get("events"):
-            print(f"engine throughput: "
-                  f"{throughput['events_per_sec']:,.0f} events/s")
+        print()
+        print("wall-clock phases:")
+        print(render_profile(profile))
     return 0
 
 

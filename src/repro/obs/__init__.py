@@ -1,12 +1,13 @@
-"""Observability subsystem: metrics, timelines, journaling, profiling.
+"""Observability subsystem: metrics, timelines, journaling, spans.
 
 Telemetry is strictly **opt-in**: nothing in this package runs unless a
 :class:`Telemetry` instance is constructed and handed to (or activated
 for) a simulation.  Every instrumented hot-path site in the simulator
 guards on a single ``is None`` check, so the disabled path costs one
-pointer comparison.
+pointer comparison.  Every :class:`Telemetry` records spans; the
+wall-clock profile is a view of them.
 
-The facade wires four independent pieces together:
+The facade wires these pieces together:
 
 * :mod:`repro.obs.metrics`   — counters / gauges / histograms with
   hierarchical names (``mc.sc0.drfm_sb_issued``);
@@ -14,15 +15,16 @@ The facade wires four independent pieces together:
   N tREFI of *simulated* time;
 * :mod:`repro.obs.journal`   — schema-versioned JSONL run journal
   (file-backed or in-memory);
-* :mod:`repro.obs.profiling` — wall-clock phase timers and the engine
-  events/sec throughput gauge;
 * :mod:`repro.obs.trace`     — bounded structured trace of mitigation
   events (analysed by ``repro trace``);
 * :mod:`repro.obs.snapshot`  — picklable per-cell snapshots plus the
   deterministic cross-process merge used by ``repro.exec``;
 * :mod:`repro.obs.progress`  — TTY-aware live sweep progress reporter;
-* :mod:`repro.obs.spans`     — opt-in hierarchical span tracing across
-  the sweep fabric (exported by ``repro spans``).
+* :mod:`repro.obs.spans`     — hierarchical span tracing across the
+  sweep fabric (exported by ``repro spans``), the one wall-clock record:
+  the ``--profile`` phase table and engine throughput are folded from it;
+* :mod:`repro.obs.atomic`    — the temp-file + ``os.replace`` writer
+  behind every artifact file.
 
 Telemetry never perturbs simulation results: it only reads simulator
 state and maintains its own side structures, so identical seeds produce
@@ -39,18 +41,15 @@ merged metrics and journals (``tests/test_obs_parallel.py``).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from contextlib import contextmanager
+import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
+from repro.obs.atomic import write_atomic
 from repro.obs.journal import (RunJournal, SCHEMA_VERSION, load_journal,
                                read_journal)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                RLP_BUCKETS)
-from repro.obs.profiling import (PhaseTimer, Profiler, Stopwatch,
-                                 ThroughputGauge)
 from repro.obs.timeline import (DEFAULT_SAMPLE_EVERY_REFI, TimelineSample,
                                 TimelineSampler)
 from repro.obs.trace import DEFAULT_TRACE_LIMIT, EventTrace
@@ -60,7 +59,8 @@ from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 snapshot_to_doc)
 from repro.obs.progress import SweepProgress
 from repro.obs.spans import (SPANS_SCHEMA_VERSION, Span, SpanTracer,
-                             normalized_tree, span_from_doc, span_to_doc)
+                             fold_profile, normalized_tree, render_profile,
+                             span_from_doc, span_to_doc)
 
 __all__ = [
     "CaptureSpec",
@@ -72,8 +72,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "Profiler",
     "RLP_BUCKETS",
     "RunJournal",
     "SCHEMA_VERSION",
@@ -81,19 +79,19 @@ __all__ = [
     "SPANS_SCHEMA_VERSION",
     "Span",
     "SpanTracer",
-    "Stopwatch",
     "SubchannelTelemetry",
     "SweepProgress",
     "Telemetry",
     "TelemetrySnapshot",
-    "ThroughputGauge",
     "TimelineSample",
     "TimelineSampler",
     "capture_snapshot",
+    "fold_profile",
     "load_journal",
     "merge_snapshot",
     "normalized_tree",
     "read_journal",
+    "render_profile",
     "runtime",
     "span_from_doc",
     "span_to_doc",
@@ -153,8 +151,29 @@ class SubchannelTelemetry:
                 self.trace.record(record)
 
 
+#: Default of the deprecated ``Telemetry(spans=...)`` argument: passing
+#: any value, even ``None``, warns.
+_UNSET = object()
+
+
+class _ProfilerView:
+    """What the deprecated :attr:`Telemetry.profiler` returns: the
+    span-derived profile behind the old ``render()``/``snapshot()``."""
+
+    __slots__ = ("_spans",)
+
+    def __init__(self, spans: SpanTracer) -> None:
+        self._spans = spans
+
+    def snapshot(self) -> dict:
+        return fold_profile(self._spans.roots)
+
+    def render(self) -> str:
+        return render_profile(self.snapshot())
+
+
 class Telemetry:
-    """Facade bundling registry, timeline sampler, journal and profiler.
+    """Facade bundling registry, timeline sampler, journal and spans.
 
     Parameters
     ----------
@@ -167,20 +186,19 @@ class Telemetry:
     sample_every_refi:
         Timeline sampling period in tREFI units.
     profile:
-        Whether the caller intends to render wall-clock profiling; phase
-        timers are always maintained (they are per-run, not per-event),
-        the flag only gates reporting (including the journal's closing
-        ``profile`` record — wall-clock is nondeterministic, so it only
-        enters the journal on request).
+        Whether the caller intends to render the wall-clock profile.
+        Spans are always recorded; the flag only gates the journal's
+        closing ``profile`` record (wall-clock is nondeterministic, so
+        it only enters the journal on request).
     trace:
         Keep a bounded :class:`~repro.obs.trace.EventTrace` of
         individual mitigation events for the ``repro trace`` analyzer.
     trace_limit:
         Event capacity of that trace.
     spans:
-        Record a hierarchical :class:`~repro.obs.spans.SpanTracer` of
-        sweep execution (exported by ``repro spans``).  Off by default;
-        every span site guards on ``telemetry.spans is None``.
+        Deprecated and ignored (removed in 3.0): every telemetry
+        records a :class:`~repro.obs.spans.SpanTracer` in
+        :attr:`spans`.
     """
 
     def __init__(self, journal_path: str | None = None,
@@ -189,7 +207,12 @@ class Telemetry:
                  profile: bool = False,
                  trace: bool = False,
                  trace_limit: int = DEFAULT_TRACE_LIMIT,
-                 spans: bool = False) -> None:
+                 spans=_UNSET) -> None:
+        if spans is not _UNSET:
+            warnings.warn("Telemetry(spans=...) is deprecated and ignored "
+                          "(every Telemetry records spans); it will be "
+                          "removed in 3.0", DeprecationWarning,
+                          stacklevel=2)
         self.registry = MetricsRegistry()
         self.journal: RunJournal | None = None
         if journal_path is not None:
@@ -198,14 +221,23 @@ class Telemetry:
             self.journal = RunJournal()
         self.timeline = TimelineSampler(sample_every_refi,
                                         journal=self.journal)
-        self.profiler = Profiler()
         self.profile = profile
         self.trace: EventTrace | None = \
             EventTrace(trace_limit) if trace else None
-        self.spans: SpanTracer | None = SpanTracer() if spans else None
+        self.spans = SpanTracer()
         self.run_index = -1
         self._channels: dict[int, SubchannelTelemetry] = {}
         self._finalized = False
+
+    @property
+    def profiler(self) -> _ProfilerView:
+        """Deprecated (removed in 3.0): the span-derived profile; use
+        ``fold_profile(telemetry.spans.roots)``."""
+        warnings.warn("Telemetry.profiler is deprecated; the profile is "
+                      "folded from the span tree: use "
+                      "repro.obs.fold_profile(telemetry.spans.roots) "
+                      "(removed in 3.0)", DeprecationWarning, stacklevel=2)
+        return _ProfilerView(self.spans)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -219,20 +251,8 @@ class Telemetry:
         return channel
 
     def phase(self, name: str):
-        """Context manager timing one wall-clock phase.
-
-        With span tracing on, the same region is also recorded as a
-        ``phase`` span, so profiler totals and the span tree describe
-        the same boundaries.
-        """
-        if self.spans is None:
-            return self.profiler.phase(name)
-        return self._phase_with_span(name)
-
-    @contextmanager
-    def _phase_with_span(self, name: str):
-        with self.spans.span(name), self.profiler.phase(name):
-            yield
+        """Context manager recording one wall-clock ``phase`` span."""
+        return self.spans.span(name)
 
     # ------------------------------------------------------------------
     # Run lifecycle (called by the simulation runner)
@@ -244,15 +264,14 @@ class Telemetry:
             self.journal.write("run_start", run=self.run_index,
                                workload=workload, policy=policy, seed=seed)
 
-    def end_run(self, result, events: int, seconds: float) -> None:
-        """Fold one completed run into throughput, counters and journal.
+    def end_run(self, result, events: int) -> None:
+        """Fold one completed run into the counters and the journal.
 
-        Wall-clock quantities go to the profiler only — the counters
-        and the journal's ``summary`` record carry exclusively simulated
-        numbers, so merged journals and the ``metrics`` section stay
-        byte-identical across serial/parallel/cached execution.
+        Both carry exclusively simulated numbers (the run's wall-clock
+        lives in its ``engine:event_loop`` span), so merged journals and
+        the ``metrics`` section stay byte-identical across
+        serial/parallel/cached execution.
         """
-        self.profiler.throughput.record(events, seconds)
         registry = self.registry
         registry.counter("sim.runs").inc()
         registry.counter("sim.requests").inc(events)
@@ -276,7 +295,7 @@ class Telemetry:
     # Output
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Registry plus profiler state as one JSON-serialisable dict.
+        """Registry plus the span-derived profile as one dict.
 
         The ``metrics`` section holds only deterministic, simulated-time
         instruments; execution-side counters (``exec.*`` — retries,
@@ -295,64 +314,35 @@ class Telemetry:
             "schema_version": SCHEMA_VERSION,
             "metrics": metrics,
             "exec": executor,
-            "profiling": self.profiler.snapshot(),
+            "profiling": fold_profile(self.spans.roots),
             "timeline_samples": len(self.timeline.samples),
         }
 
     def write_metrics(self, path: str) -> None:
-        """Dump :meth:`snapshot` as pretty JSON to ``path``, atomically.
+        """Dump :meth:`snapshot` as pretty JSON to ``path``, atomically."""
+        def write(handle) -> None:
+            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
-        Temp file + ``os.replace`` (the :class:`RunCache` pattern), so a
-        killed run never leaves a half-written metrics file behind.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".metrics.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(self.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, write, prefix=".metrics.")
 
     def spans_doc(self) -> dict:
-        """Span forest plus profiling context, JSON-serialisable.
+        """The span forest, JSON-serialisable.
 
         This is the on-disk format of ``--spans FILE`` and the input of
-        the ``repro spans`` analyzer; profiling rides along so the
-        critical path can be sanity-checked against phase wall time.
+        the ``repro spans`` analyzer (which folds the phase totals from
+        the forest itself).
         """
-        tracer = self.spans if self.spans is not None else SpanTracer()
-        return {
-            "schema": SPANS_SCHEMA_VERSION,
-            "profiling": self.profiler.snapshot(),
-            "spans": tracer.to_docs(),
-        }
+        return {"schema": SPANS_SCHEMA_VERSION,
+                "spans": self.spans.to_docs()}
 
     def write_spans(self, path: str) -> None:
         """Dump :meth:`spans_doc` as JSON to ``path``, atomically."""
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".spans.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(self.spans_doc(), handle, indent=2)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        def write(handle) -> None:
+            json.dump(self.spans_doc(), handle, indent=2)
+            handle.write("\n")
+
+        write_atomic(path, write, prefix=".spans.")
 
     def finalize(self) -> None:
         """Write the closing profile record and close the journal."""
@@ -360,7 +350,8 @@ class Telemetry:
             return
         self._finalized = True
         if self.journal is not None:
-            if self.profile and self.profiler.phases.seconds:
-                self.journal.write("profile",
-                                   **self.profiler.snapshot())
+            if self.profile:
+                profile = fold_profile(self.spans.roots)
+                if profile["phases"]:
+                    self.journal.write("profile", **profile)
             self.journal.close()

@@ -11,7 +11,8 @@ and a record kind (``"kind"``); the kinds the simulator emits are:
   (command, trigger bank, realised RLP, valid DAR count at issue);
 * ``summary``    — one per completed run (the
   :class:`~repro.sim.results.RunResult` headline numbers);
-* ``profile``    — wall-clock phase timings when profiling is enabled.
+* ``profile``    — the wall-clock profile folded from the span tree
+  (:func:`~repro.obs.spans.fold_profile`), with ``--profile`` only.
 
 The journal writes either to a file (streamed, one ``json.dumps`` per
 record — safe for multi-gigabyte runs) or in memory (``records`` list,

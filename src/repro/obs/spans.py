@@ -15,7 +15,8 @@ tracer records the execution of a sweep as a tree::
 with cache hits, retries, timeouts and pool-break fallbacks recorded as
 *span events* on the enclosing span.
 
-Spans are strictly opt-in (``Telemetry(spans=True)``) and cross process
+Every :class:`~repro.obs.Telemetry` records spans (there is no switch:
+they are the one wall-clock record of a run), and they cross process
 boundaries by riding the :class:`~repro.obs.snapshot.TelemetrySnapshot`
 capture/merge path: a worker's capture telemetry records the cell's
 subtree, :func:`~repro.obs.snapshot.capture_snapshot` freezes it into
@@ -43,9 +44,15 @@ sequentially in submission order even though the merge happens long
 after the computation it describes.  That keeps the tree
 mode-independent: the sweep root spans ``max(real elapsed, serialized
 work)``, and the critical path (:mod:`repro.analysis.spans`) — the sum
-of measured durations along the longest chain — matches the profiling
+of measured durations along the longest chain — matches the phase
 wall time of a serial sweep and measures *total work* for a parallel
 or cache-served one.
+
+The wall-clock profile (``--profile``, the journal's ``profile``
+record, the ``profiling`` section of ``--metrics-out``) is a view of
+the tree: :func:`fold_profile` groups phase spans by name and sums the
+``engine:event_loop`` spans into the engine throughput, and
+:func:`render_profile` prints the result.
 """
 
 from __future__ import annotations
@@ -63,6 +70,10 @@ KIND_CELL = "cell"
 KIND_ATTEMPT = "attempt"
 KIND_PHASE = "phase"
 KIND_ENGINE = "engine"
+
+#: The engine span bracketing one simulation's event loop; its
+#: ``events`` meta and duration give the engine throughput.
+ENGINE_LOOP = "engine:event_loop"
 
 
 class Span:
@@ -354,3 +365,61 @@ def normalized_tree(spans: list[Span]) -> list[dict]:
             "children": normalized_tree(span.children),
         })
     return normalized
+
+
+# ----------------------------------------------------------------------
+# Profile view (``--profile``, the journal ``profile`` record)
+# ----------------------------------------------------------------------
+def fold_profile(spans: list[Span]) -> dict:
+    """The wall-clock profile of a span forest.
+
+    ``phases`` maps each phase-span name to its summed ``seconds`` and
+    ``calls``; ``throughput`` sums the ``engine:event_loop`` spans, so
+    its events/s times the event loop alone (trace building, result
+    assembly and dispatch excluded).
+    """
+    seconds: dict[str, float] = {}
+    calls: dict[str, int] = {}
+    events = 0
+    loop_s = 0.0
+    for root in spans:
+        for span in root.walk():
+            if span.kind == KIND_PHASE:
+                seconds[span.name] = seconds.get(span.name, 0.0) \
+                    + span.duration_s
+                calls[span.name] = calls.get(span.name, 0) + 1
+            elif span.name == ENGINE_LOOP:
+                events += span.meta.get("events", 0)
+                loop_s += span.duration_s
+    return {
+        "phases": {name: {"seconds": seconds[name], "calls": calls[name]}
+                   for name in sorted(seconds)},
+        "throughput": {"events": events, "seconds": loop_s,
+                       "events_per_sec":
+                           events / loop_s if loop_s > 0 else 0.0},
+    }
+
+
+def render_profile(profile: dict) -> str:
+    """Phase table (slowest first) plus the engine throughput line.
+
+    ``profile`` is a :func:`fold_profile` dict — or the journal's
+    ``profile`` record, which has the same shape.
+    """
+    phases = profile.get("phases", {})
+    if not phases:
+        lines = ["(no phases recorded)"]
+    else:
+        width = max(len(name) for name in phases)
+        lines = [f"{name.ljust(width)}  {entry['seconds']:9.3f}s"
+                 f"  x{entry['calls']}"
+                 for name, entry in sorted(phases.items(),
+                                           key=lambda item:
+                                           -item[1]["seconds"])]
+    throughput = profile.get("throughput", {})
+    if throughput.get("events"):
+        lines.append(f"engine throughput: "
+                     f"{throughput.get('events_per_sec', 0.0):,.0f} "
+                     f"events/s ({throughput['events']:,} events / "
+                     f"{throughput.get('seconds', 0.0):.3f}s)")
+    return "\n".join(lines)

@@ -50,8 +50,8 @@ under concurrency: the progress sink is part of the job's scoped
 binding, so a neighbour's cells can never bleed into this job's stream.
 
 **Observability plane.**  Unless constructed with ``spans=False``, each
-job runs under its own ambient :class:`~repro.obs.Telemetry` with span
-tracing on: the finished job keeps its merged span document (served at
+job runs under its own ambient :class:`~repro.obs.Telemetry` (which
+records spans): the finished job keeps its merged span document (served at
 ``GET /v1/jobs/<id>/spans`` for ``repro spans --url``), and the job's
 deterministic simulated-time metrics fold into the scheduler-lifetime
 :attr:`JobScheduler.registry`, which the server's ``/v1/metrics``
@@ -448,7 +448,7 @@ class JobScheduler:
 
     def _run_job(self, job: Job) -> None:
         executor = self.executor
-        telemetry = Telemetry(spans=True) if self.spans_enabled else None
+        telemetry = Telemetry() if self.spans_enabled else None
         state, error, result_json = "done", None, None
         spans_json = None
         with executor.scoped(policy=job.options.cell_policy(),

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.mc.mitigation import coupled_mint_factory
-from repro.obs import Telemetry
+from repro.obs import Telemetry, fold_profile
 from repro.obs import runtime as obs_runtime
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation
@@ -124,7 +124,9 @@ class TestMetricsEndToEnd:
         assert telemetry.registry.counter("sim.runs").value == 1
         assert telemetry.registry.counter("sim.requests").value == \
             result.requests_completed
-        assert telemetry.profiler.throughput.events_per_sec > 0
+        throughput = fold_profile(telemetry.spans.roots)["throughput"]
+        assert throughput["events"] == result.requests_completed
+        assert throughput["events_per_sec"] > 0
 
     def test_timeline_queue_depth_hook_reset_after_run(self, system,
                                                        traces, sim):

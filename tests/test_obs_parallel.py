@@ -112,6 +112,35 @@ class TestByteIdenticalAcrossModes:
         assert len(telemetry.timeline.samples) == \
             len(serial["telemetry"].timeline.samples)
 
+    def test_legacy_sidecars_with_profiling_sections_stay_warm(
+            self, tmp_path, small_system, small_sim, designs, workloads):
+        cache_dir = tmp_path / "runcache"
+        with SweepExecutor(cache=RunCache(cache_dir)) as cold_exec:
+            cold = _merged(designs, small_system, small_sim, workloads,
+                           cold_exec)
+        # Rewrite every sidecar in the older layout, which also carried
+        # the profile totals beside the spans (same schema version).
+        sidecars = sorted(cache_dir.glob("*/*.obs.json"))
+        assert len(sidecars) == CELLS
+        for path in sidecars:
+            entry = json.loads(path.read_text())
+            snapshot = entry["snapshot"]
+            spans = snapshot.pop("spans")
+            snapshot["phases"] = {"run:none": {"seconds": 0.25,
+                                               "calls": 1}}
+            snapshot["throughput"] = {"events": 100, "seconds": 0.125,
+                                      "intervals": 1}
+            snapshot["spans"] = spans
+            path.write_text(json.dumps(entry) + "\n")
+        warm_cache = RunCache(cache_dir)
+        with SweepExecutor(cache=warm_cache) as warm_exec:
+            warm = _merged(designs, small_system, small_sim, workloads,
+                           warm_exec)
+        assert warm_cache.stats.misses == 0
+        assert warm_exec.stats.computed == 0
+        for key in ("metrics", "journal", "timeline"):
+            assert warm[key] == cold[key], key
+
     def test_run_result_json_unchanged_by_telemetry(self, small_system,
                                                     small_sim, designs,
                                                     workloads):

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.obs import Telemetry
+from repro.obs import Telemetry, fold_profile, render_profile
 from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 TelemetrySnapshot, capture_snapshot,
                                 merge_snapshot, snapshot_from_doc,
@@ -146,17 +146,25 @@ class TestMergeTimeline:
 
 class TestMergeProfiling:
     def test_phase_and_throughput_totals_accumulate(self):
-        snap = TelemetrySnapshot(
-            phases={"simulate": {"seconds": 1.5, "calls": 2}},
-            throughput={"events": 100, "seconds": 0.5, "intervals": 1})
+        # The profile is folded from the grafted spans, so merging a
+        # snapshot twice doubles its phase and engine-loop totals.
+        loop = {"name": "engine:event_loop", "kind": "engine",
+                "t0_s": 0.0, "t1_s": 0.5, "meta": {"events": 100}}
+        snap = TelemetrySnapshot(spans=[
+            {"name": "simulate", "kind": "phase", "t0_s": 0.0,
+             "t1_s": 0.75, "children": [loop]},
+            {"name": "simulate", "kind": "phase", "t0_s": 0.75,
+             "t1_s": 1.5}])
         parent = Telemetry()
         merge_snapshot(parent, snap)
         merge_snapshot(parent, snap)
-        phases = parent.profiler.phases.snapshot()
-        assert phases["simulate"]["seconds"] == 3.0
-        assert phases["simulate"]["calls"] == 4
-        assert parent.profiler.throughput.events == 200
-        assert parent.profiler.throughput.intervals == 2
+        profile = fold_profile(parent.spans.roots)
+        assert profile["phases"]["simulate"]["seconds"] == \
+            pytest.approx(3.0)
+        assert profile["phases"]["simulate"]["calls"] == 4
+        assert profile["throughput"]["events"] == 200
+        assert profile["throughput"]["seconds"] == pytest.approx(1.0)
+        assert parent.snapshot()["profiling"] == profile
 
 
 class TestDocRoundTrip:
@@ -192,12 +200,22 @@ class TestDocRoundTrip:
     def test_malformed_sections_rejected(self):
         base = snapshot_to_doc(self._real_snapshot())
         for key, bad in [("metrics", []), ("journal", {}),
-                         ("timeline", {}), ("phases", []),
-                         ("throughput", [])]:
+                         ("timeline", {})]:
             doc = dict(base)
             doc[key] = bad
             assert snapshot_from_doc(doc) is None
         assert snapshot_from_doc("nope") is None
+
+    def test_legacy_profiling_sections_are_ignored(self):
+        # Sidecars written before the profile became a span view carry
+        # phases/throughput sections; they still load (staying warm) and
+        # contribute nothing beyond their spans.
+        doc = json.loads(json.dumps(snapshot_to_doc(self._real_snapshot())))
+        assert "phases" not in doc and "throughput" not in doc
+        doc["phases"] = {"run:mint": {"seconds": 1.0, "calls": 1}}
+        doc["throughput"] = {"events": 5, "seconds": 1.0, "intervals": 1}
+        restored = snapshot_from_doc(doc)
+        assert restored == self._real_snapshot()
 
     def test_malformed_timeline_row_rejected(self):
         doc = snapshot_to_doc(self._real_snapshot())
@@ -208,10 +226,7 @@ class TestDocRoundTrip:
 
 class TestSpansInSnapshots:
     def _spanned_capture(self) -> TelemetrySnapshot:
-        # Capture telemetry always records spans (CaptureSpec.build
-        # sets spans=True) so sidecars serve later spans-enabled runs.
         local = CaptureSpec(sample_every_refi=5).build()
-        assert local.spans is not None
         with local.spans.span("attempt", exec_side=True):
             with local.spans.span("run:none"):
                 pass
@@ -227,20 +242,27 @@ class TestSpansInSnapshots:
 
     def test_merge_grafts_into_spans_enabled_parent(self):
         snap = self._spanned_capture()
-        parent = Telemetry(spans=True)
+        parent = Telemetry()
         merge_snapshot(parent, snap)
         assert [root.name for root in parent.spans.roots] == ["attempt"]
         assert [child.name
                 for child in parent.spans.roots[0].children] == \
             ["run:none"]
         # The snapshot itself stays replayable.
-        merge_snapshot(Telemetry(spans=True), snap)
+        merge_snapshot(Telemetry(), snap)
         assert len(snap.spans) == 1
 
-    def test_merge_into_spans_off_parent_is_a_noop(self):
+    def test_profiler_property_is_a_deprecated_span_view(self):
         parent = Telemetry()
         merge_snapshot(parent, self._spanned_capture())
-        assert parent.spans is None
+        with pytest.warns(DeprecationWarning, match="profiler") as caught:
+            view = parent.profiler
+            snapshot = view.snapshot()
+            rendered = view.render()
+        assert len(caught) == 1
+        assert snapshot == fold_profile(parent.spans.roots)
+        assert snapshot["phases"]["run:none"]["calls"] == 1
+        assert rendered == render_profile(snapshot)
 
     def test_malformed_spans_section_rejected(self):
         doc = snapshot_to_doc(self._spanned_capture())

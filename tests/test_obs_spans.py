@@ -170,7 +170,7 @@ class TestSpanTracer:
 # ----------------------------------------------------------------------
 def _traced(designs, small_system, small_sim, workloads, executor=None):
     """One instrumented sweep; returns (normalized-JSON, telemetry)."""
-    telemetry = Telemetry(journal_memory=True, spans=True)
+    telemetry = Telemetry(journal_memory=True)
     if executor is None:
         executor = SweepExecutor()
     with obs_runtime.activated(telemetry), \
@@ -245,16 +245,20 @@ class TestSpanTreeByteIdenticalAcrossModes:
                             for result in executor.run_cells(cells)]
 
         plain = results(None)
-        traced = results(Telemetry(journal_memory=True, spans=True))
+        traced = results(Telemetry(journal_memory=True))
         assert traced == plain
 
-    def test_spans_off_records_nothing(self, small_system, small_sim,
-                                       designs, workloads):
-        telemetry = Telemetry(journal_memory=True)
-        assert telemetry.spans is None
+    def test_spans_argument_is_deprecated_and_ignored(
+            self, small_system, small_sim, designs, workloads):
+        # Telemetry(spans=False) no longer switches the tracer off: it
+        # warns exactly once and the sweep is traced like any other.
+        with pytest.warns(DeprecationWarning, match="spans") as caught:
+            telemetry = Telemetry(journal_memory=True, spans=False)
+        assert len(caught) == 1
         with obs_runtime.activated(telemetry), \
                 exec_runtime.activated(SweepExecutor()):
             sweep_designs(designs, small_system, small_sim,
                           workloads=workloads)
         doc = telemetry.spans_doc()
-        assert doc["spans"] == []
+        assert [root["kind"] for root in doc["spans"]] == [KIND_SWEEP]
+        assert "profiling" not in doc
